@@ -17,13 +17,15 @@ from .smoothing import (
     Prox,
     SmoothingSpec,
     project_simplex,
-    smooth_gradient_model,
-    smooth_gradient_theta,
-    smooth_value,
-    smooth_value_model,
-    smooth_weights,
+    smooth_max,
 )
-from .objective import Dataset, empirical_norm, least_squares, least_squares_gradient
+from .objective import (
+    Dataset,
+    SmoothedLeastSquares,
+    empirical_norm,
+    least_squares,
+    least_squares_gradient,
+)
 from .optimizer import FitConfig, FitResult, anneal_schedule, fit, fit_pool, nelder_mead_fit
 from .inference import (
     ConfidenceIntervals,
@@ -31,7 +33,6 @@ from .inference import (
     Hinge1D,
     Hinge2D,
     confidence_intervals,
-    hinge_eval_2d,
     hinge_fit_1d,
     line_parameters,
     piece_assignment,

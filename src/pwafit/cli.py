@@ -12,11 +12,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .experiments import compare_methods, coverage_study, mu_sweep, restart_ecdf, three_planes
-from .inference import confidence_intervals, plugin_covariance
+from .inference import confidence_intervals, line_parameters, plugin_covariance
 from .model import model_from_json_dict, model_to_json_dict
 from .optimizer import FitConfig, fit_pool
 from .simulate import dataset_from_csv, dataset_to_csv, generate, preset, preset_names
@@ -158,7 +156,7 @@ def _cmd_ci(args) -> int:
         return 2
     try:
         cov = plugin_covariance(model, data)
-        ci = confidence_intervals(np.asarray(fit_obj["theta_hat"][: cov.C.shape[0]]), cov, args.level)
+        ci = confidence_intervals(line_parameters(model), cov, args.level)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

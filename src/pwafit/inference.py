@@ -29,7 +29,6 @@ __all__ = [
     "smoothed_covariance",
     "confidence_intervals",
     "hinge_fit_1d",
-    "hinge_eval_2d",
 ]
 
 _COND_LIMIT = 1e12
@@ -151,7 +150,9 @@ def confidence_intervals(
     """Per-parameter normal intervals ``theta_i +/- z sqrt(C_ii / N_i)``.
 
     ``N_i`` is the number of points assigned to the piece owning
-    parameter ``i``.
+    parameter ``i``.  Because ``C`` comes from moments scaled by ``1/n``,
+    these are exactly ``sqrt(n/N_i)`` times wider than per-piece OLS
+    intervals with the same ``sigma2_hat``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -226,10 +227,6 @@ class Hinge2D:
             offset = x - px
         base = self.alpha1 * x + self.alpha2 * y + self.alpha3
         return base + self.beta2 * np.where(gate, offset, 0.0)
-
-
-def hinge_eval_2d(model: Hinge2D, x, y):
-    return model.evaluate(x, y)
 
 
 def hinge_fit_1d(

@@ -5,10 +5,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PwaModel
-from .smoothing import SmoothingSpec, _batch_values_weights
+from .model import PwaModel, pack
+from .smoothing import Prox, SmoothingSpec, smooth_max
 
-__all__ = ["Dataset", "least_squares", "least_squares_gradient", "empirical_norm"]
+__all__ = [
+    "Dataset",
+    "SmoothedLeastSquares",
+    "least_squares",
+    "least_squares_gradient",
+    "empirical_norm",
+]
 
 
 @dataclass(frozen=True)
@@ -43,10 +49,58 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _smoothed_values(model: PwaModel, spec: SmoothingSpec, X: np.ndarray) -> np.ndarray:
-    v1, _ = _batch_values_weights(model.part1, spec, X)
-    v2, _ = _batch_values_weights(model.part2, spec, X)
-    return v1 - v2
+class SmoothedLeastSquares:
+    """Flat-array kernel of the smoothed least-squares criterion.
+
+    ``theta`` is in pack layout for ``k1`` part1 pieces and ``k2`` part2
+    pieces; ``k2 = 0`` pins part2 to the zero part and leaves it out of
+    ``theta`` (its smoothed value is exactly 0 for both proxes).
+    :meth:`value` keeps the weights and residuals that :meth:`gradient`
+    needs, so a gradient costs no second smoothing pass.
+    """
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray, k1: int, k2: int, prox: Prox, mu: float):
+        self.X, self.Y = X, Y
+        self.k1, self.k2, self.d = k1, k2, X.shape[1]
+        self.prox, self.mu = prox, mu
+        self._cache = None
+
+    def _part(self, theta, offset, k):
+        d = self.d
+        A = theta[offset : offset + k * d].reshape(k, d)
+        Z = self.X @ A.T + theta[offset + k * d : offset + k * (d + 1)]
+        return smooth_max(Z, self.prox, self.mu)
+
+    def value(self, theta: np.ndarray) -> float:
+        """Mean squared residual of the smoothed model at ``theta``."""
+        fitted, W1 = self._part(theta, 0, self.k1)
+        W2 = None
+        if self.k2:
+            v2, W2 = self._part(theta, self.k1 * (self.d + 1), self.k2)
+            fitted = fitted - v2
+        r = self.Y - fitted
+        self._cache = (W1, W2, r)
+        return float(np.mean(r * r))
+
+    def gradient(self) -> np.ndarray:
+        """Gradient at the point of the last :meth:`value` call, pack layout.
+
+        Equals ``-(2/n) sum_i r_i * grad_theta g_mu(X_i)`` with residuals
+        ``r_i = Y_i - g_mu(X_i)``; the part2 block carries the opposite sign.
+        """
+        W1, W2, r = self._cache
+        X = self.X
+        scale = -2.0 / X.shape[0]
+        blocks = [(scale * (W1 * r[:, None]).T @ X).ravel(), scale * (W1.T @ r)]
+        if W2 is not None:
+            blocks += [(-scale * (W2 * r[:, None]).T @ X).ravel(), -scale * (W2.T @ r)]
+        return np.concatenate(blocks)
+
+
+def _kernel(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> SmoothedLeastSquares:
+    if model.d != data.d:
+        raise ValueError("model and data dimensions disagree")
+    return SmoothedLeastSquares(data.X, data.Y, model.k1, model.k2, spec.prox, spec.mu)
 
 
 def least_squares(model: PwaModel, spec: SmoothingSpec | None, data: Dataset) -> float:
@@ -55,37 +109,21 @@ def least_squares(model: PwaModel, spec: SmoothingSpec | None, data: Dataset) ->
     ``spec=None`` evaluates the unsmoothed criterion (exact max-affine
     evaluation); this path has no gradient.
     """
+    if spec is not None:
+        return _kernel(model, spec, data).value(pack(model))
     if model.d != data.d:
         raise ValueError("model and data dimensions disagree")
-    if spec is None:
-        fitted = model.evaluate(data.X)
-    else:
-        fitted = _smoothed_values(model, spec, data.X)
-    r = data.Y - fitted
+    r = data.Y - model.evaluate(data.X)
     return float(np.mean(r * r))
 
 
 def least_squares_gradient(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> np.ndarray:
-    """Exact gradient of :func:`least_squares` in pack layout.
-
-    Equals ``-(2/n) sum_i r_i * grad_theta g_mu(X_i)`` with residuals
-    ``r_i = Y_i - g_mu(X_i)``; the part2 block carries the opposite sign.
-    """
+    """Exact gradient of :func:`least_squares` in pack layout."""
     if spec is None:
         raise ValueError("gradient requires a smoothing spec with mu > 0")
-    if model.d != data.d:
-        raise ValueError("model and data dimensions disagree")
-    X, Y = data.X, data.Y
-    n = data.n
-    v1, W1 = _batch_values_weights(model.part1, spec, X)
-    v2, W2 = _batch_values_weights(model.part2, spec, X)
-    r = Y - (v1 - v2)
-    scale = -2.0 / n
-    ga1 = scale * (W1 * r[:, None]).T @ X
-    gb1 = scale * (W1.T @ r)
-    ga2 = -scale * (W2 * r[:, None]).T @ X
-    gb2 = -scale * (W2.T @ r)
-    return np.concatenate([ga1.ravel(), gb1, ga2.ravel(), gb2])
+    kernel = _kernel(model, spec, data)
+    kernel.value(pack(model))
+    return kernel.gradient()
 
 
 def empirical_norm(model: PwaModel, data: Dataset) -> float:

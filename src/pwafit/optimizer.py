@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import PwaModel, pack, unpack
-from .objective import Dataset, empirical_norm, least_squares, least_squares_gradient
+from .objective import Dataset, SmoothedLeastSquares, empirical_norm, least_squares
 from .smoothing import Prox, SmoothingSpec
 
 __all__ = [
@@ -39,7 +39,6 @@ class FitConfig:
     max_restarts: int = 50
     restarts_pool: int = 10
     seed: int = 0
-    dof_correction: bool = False  # forwarded by callers that estimate sigma^2
 
     def __post_init__(self) -> None:
         if self.mu_target <= 0 or self.tolerance <= 0 or self.init_radius <= 0:
@@ -72,22 +71,25 @@ def anneal_schedule(mu: float) -> list[float]:
     return [(2.0 ** (m0 - m)) * mu for m in range(m0 + 1)]
 
 
-def _bfgs(fun_grad, x0, tol, max_steps):
+def _bfgs(objective, x0, tol, max_steps):
     """Minimize with a self-contained BFGS (inverse-Hessian update, Armijo
     backtracking).
 
+    ``objective.value(x)`` returns the objective at ``x``;
+    ``objective.gradient()`` returns the gradient at the point of the last
+    ``value`` call, so gradients are formed only at accepted points.
     Returns ``(x, f, status, steps, history)`` with status one of
     ``"converged"``, ``"maxiter"``, ``"instability"``.  ``history`` is the
     sequence of accepted objective values (non-increasing).
     """
     x = np.array(x0, dtype=float)
-    f, g = fun_grad(x)
+    f = objective.value(x)
+    g = objective.gradient()
     history = [f]
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         return x, f, "instability", 0, history
     n = x.size
     H = np.eye(n)
-    eye = np.eye(n)
     for step in range(1, max_steps + 1):
         if np.max(np.abs(g)) < tol:
             return x, f, "converged", step - 1, history
@@ -101,7 +103,7 @@ def _bfgs(fun_grad, x0, tol, max_steps):
         accepted = False
         for _ in range(60):
             xn = x + t * p
-            fn, gn = fun_grad(xn)
+            fn = objective.value(xn)
             if np.isfinite(fn) and fn <= f + 1e-4 * t * gp:
                 accepted = True
                 break
@@ -111,6 +113,7 @@ def _bfgs(fun_grad, x0, tol, max_steps):
             if np.max(np.abs(g)) < math.sqrt(tol):
                 return x, f, "converged", step, history
             return x, f, "instability", step, history
+        gn = objective.gradient()
         if np.max(np.abs(xn)) > _BOX_LIMIT or not np.all(np.isfinite(gn)):
             return xn, fn, "instability", step, history
         s = t * p
@@ -146,37 +149,16 @@ class _Problem:
             raise ValueError("k1 must be >= 1 and k2 >= 0")
         self.data = data
         self.k1 = k1
-        self.k2_eff = max(k2, 1)
-        self.pin_part2 = k2 == 0
+        self.k2 = k2
         self.prox = Prox(prox)
-        d = data.d
-        self.n_full = (k1 + self.k2_eff) * (d + 1)
-        self.n_free = k1 * (d + 1) if self.pin_part2 else self.n_full
+        self.n_free = (k1 + k2) * (data.d + 1)
 
     def to_model(self, v_free: np.ndarray) -> PwaModel:
-        if self.pin_part2:
-            full = np.concatenate([v_free, np.zeros(self.d_plus_1)])
-        else:
-            full = v_free
-        return unpack(full, self.k1, self.k2_eff, self.data.d)
+        full = np.concatenate([v_free, np.zeros(self.data.d + 1)]) if self.k2 == 0 else v_free
+        return unpack(full, self.k1, max(self.k2, 1), self.data.d)
 
-    @property
-    def d_plus_1(self) -> int:
-        return self.data.d + 1
-
-    def fun_grad(self, mu: float):
-        spec = SmoothingSpec(self.prox, mu)
-        data = self.data
-
-        def fg(v):
-            model = self.to_model(v)
-            val = least_squares(model, spec, data)
-            grad = least_squares_gradient(model, spec, data)
-            if self.pin_part2:
-                grad = grad[: self.n_free]
-            return val, grad
-
-        return fg
+    def objective(self, mu: float) -> SmoothedLeastSquares:
+        return SmoothedLeastSquares(self.data.X, self.data.Y, self.k1, self.k2, self.prox, mu)
 
 
 def _make_result(problem: _Problem, v_free, trace, restarts, converged, mu_target) -> FitResult:
@@ -220,7 +202,7 @@ def fit(
         failed = False
         for mu_m in stages:
             v_new, f_new, status, steps, _ = _bfgs(
-                problem.fun_grad(mu_m), v, config.tolerance, config.max_newton_steps
+                problem.objective(mu_m), v, config.tolerance, config.max_newton_steps
             )
             if status != "converged":
                 failed = True

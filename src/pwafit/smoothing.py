@@ -13,17 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MaxAffine, PwaModel
+from .model import MaxAffine
 
 __all__ = [
     "Prox",
     "SmoothingSpec",
     "project_simplex",
-    "smooth_value",
-    "smooth_weights",
-    "smooth_gradient_theta",
-    "smooth_value_model",
-    "smooth_gradient_model",
+    "smooth_max",
     "rho_max",
 ]
 
@@ -56,38 +52,32 @@ def rho_max(prox: Prox, k: int) -> float:
 
 
 def project_simplex(c) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (Michelot's scheme).
+    """Euclidean projection onto the unit simplex (sort and threshold).
 
-    Accepts a single vector or a batch of row vectors.  Coordinates are
-    iteratively clipped: strictly negative entries leave the active set,
-    entries exactly at the threshold stay active.
+    Accepts a single vector or a batch of row vectors.  With each row
+    sorted in decreasing order ``u``, the threshold is the largest of
+    ``(u_1 + ... + u_j - 1) / j`` over ``j`` (Duchi et al., ICML 2008;
+    Condat, Math. Program. 2016).
     """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("input must be finite")
     single = c.ndim == 1
     V = c[None, :] if single else c
-    n, k = V.shape
-    active = np.ones((n, k), dtype=bool)
-    w = np.zeros_like(V)
-    for _ in range(k):
-        counts = active.sum(axis=1)
-        lam = (np.where(active, V, 0.0).sum(axis=1) - 1.0) / counts
-        w = np.where(active, V - lam[:, None], 0.0)
-        negative = w < 0.0
-        if not negative.any():
-            break
-        active &= ~negative
-    w = np.maximum(w, 0.0)
+    k = V.shape[1]
+    # one row per rank, so the cumulative sum and the max run over k long rows
+    U = np.ascontiguousarray(np.sort(V, axis=1).T[::-1])
+    lam = ((np.cumsum(U, axis=0) - 1.0) / np.arange(1, k + 1)[:, None]).max(axis=0)
+    w = np.maximum(V - lam[:, None], 0.0)
     return w[0] if single else w
 
 
-def _batch_values_weights(f: MaxAffine, spec: SmoothingSpec, X) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed values and maximizing simplex weights at a batch of points."""
-    Z = f.piece_values(X)
-    mu = spec.mu
-    k = f.k
-    if spec.prox is Prox.ENTROPY:
+def smooth_max(Z: np.ndarray, prox: Prox, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed row maxima of the piece values ``Z`` (n x k) and the
+    maximizing simplex weights (softmax for entropy, projection for sqerr).
+    """
+    k = Z.shape[1]
+    if prox == Prox.ENTROPY:
         # subtract the row max before exponentiating; mandatory for small mu
         zmax = Z.max(axis=1, keepdims=True)
         E = np.exp((Z - zmax) / mu)
@@ -102,46 +92,6 @@ def _batch_values_weights(f: MaxAffine, spec: SmoothingSpec, X) -> tuple[np.ndar
     return vals, W
 
 
-def _as_point(f: MaxAffine, x) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape[0] != f.d:
-        raise ValueError(f"expected point of dimension {f.d}, got {pt.shape[0]}")
-    return pt
-
-
-def smooth_value(f: MaxAffine, spec: SmoothingSpec, x) -> float:
-    """Smoothed max value ``f_mu(x)``."""
-    pt = _as_point(f, x)
-    vals, _ = _batch_values_weights(f, spec, pt[None, :])
-    return float(vals[0])
-
-
-def smooth_weights(f: MaxAffine, spec: SmoothingSpec, x) -> np.ndarray:
-    """Maximizing simplex weights (softmax for entropy, projection for sqerr)."""
-    pt = _as_point(f, x)
-    _, W = _batch_values_weights(f, spec, pt[None, :])
-    return W[0]
-
-
-def smooth_gradient_theta(f: MaxAffine, spec: SmoothingSpec, x) -> np.ndarray:
-    """Gradient of ``f_mu(x)`` w.r.t. the coefficients, in pack layout.
-
-    By Danskin's theorem the gradient is the weight vector combined with
-    ``(x, 1)``: slope block ``w_j * x`` for each piece, then intercept
-    block ``w``.
-    """
-    pt = _as_point(f, x)
-    w = smooth_weights(f, spec, pt)
-    return np.concatenate([np.outer(w, pt).ravel(), w])
-
-
-def smooth_value_model(model: PwaModel, spec: SmoothingSpec, x) -> float:
-    """Smoothed model value: difference of the two smoothed parts."""
-    return smooth_value(model.part1, spec, x) - smooth_value(model.part2, spec, x)
-
-
-def smooth_gradient_model(model: PwaModel, spec: SmoothingSpec, x) -> np.ndarray:
-    """Model gradient in pack layout; the part2 block is negated."""
-    g1 = smooth_gradient_theta(model.part1, spec, x)
-    g2 = smooth_gradient_theta(model.part2, spec, x)
-    return np.concatenate([g1, -g2])
+def _batch_values_weights(f: MaxAffine, spec: SmoothingSpec, X) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed values and maximizing simplex weights at a batch of points."""
+    return smooth_max(f.piece_values(X), spec.prox, spec.mu)

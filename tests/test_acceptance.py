@@ -17,15 +17,7 @@ from pwafit.model import MaxAffine, PwaModel, convex_model, pack, unpack
 from pwafit.objective import Dataset, least_squares, least_squares_gradient
 from pwafit.optimizer import FitConfig, fit_pool
 from pwafit.simulate import Scenario, generate, preset
-from pwafit.smoothing import (
-    Prox,
-    SmoothingSpec,
-    _batch_values_weights,
-    project_simplex,
-    rho_max,
-    smooth_gradient_theta,
-    smooth_value,
-)
+from pwafit.smoothing import Prox, SmoothingSpec, project_simplex, rho_max, smooth_max
 
 
 def report(capsys, num, name, ok, detail):
@@ -48,7 +40,7 @@ def test_criterion_01_smoothing_bounds(capsys):
         exact = f.evaluate(X)
         for prox in Prox:
             for mu in (1.0, 0.1, 0.01, 1e-4):
-                vals, _ = _batch_values_weights(f, SmoothingSpec(prox, mu), X)
+                vals, _ = smooth_max(f.piece_values(X), prox, mu)
                 gap = exact - vals
                 bound = mu * rho_max(prox, k)
                 excess = max(float((-gap).max()), float((gap - bound).max()))
@@ -77,12 +69,14 @@ def test_criterion_02_gradient_correctness(capsys):
         if rep < 100:
             coeffs = rng.uniform(-1, 1, (k, d + 1))
             x = rng.uniform(-2, 2, d)
-            g = smooth_gradient_theta(MaxAffine(coeffs), spec, x)
+            # Danskin: the weights combined with (x, 1), in pack layout
+            _, W = smooth_max(MaxAffine(coeffs).piece_values(x[None, :]), prox, mu)
+            g = np.concatenate([np.outer(W[0], x).ravel(), W[0]])
             v0 = np.concatenate([coeffs[:, :d].ravel(), coeffs[:, d]])
 
             def value(v):
                 m = np.column_stack([v[: k * d].reshape(k, d), v[k * d :]])
-                return smooth_value(MaxAffine(m), spec, x)
+                return float(smooth_max(MaxAffine(m).piece_values(x[None, :]), prox, mu)[0][0])
         else:
             k2 = int(rng.integers(1, 3))
             model = PwaModel(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pwafit.cli import main
+from pwafit.inference import confidence_intervals, line_parameters, plugin_covariance
 from pwafit.model import model_from_json_dict
 from pwafit.simulate import dataset_from_csv
 
@@ -122,7 +123,14 @@ def test_ci_pipeline(tmp_path):
     lower, upper = np.array(payload["lower"]), np.array(payload["upper"])
     assert lower.shape == (4,) and np.all(lower <= upper)
     assert sum(payload["segment_counts"]) == 200
-    theta = np.array(json.loads(fit_out.read_text())["theta_hat"])[:4]
+    # the CLI must agree with the library on the same model, centres included
+    model = model_from_json_dict(json.loads(fit_out.read_text())["model"])
+    lib = confidence_intervals(
+        line_parameters(model), plugin_covariance(model, dataset_from_csv(data)), 0.95
+    )
+    assert np.allclose(lower, lib.lower, rtol=0, atol=1e-12)
+    assert np.allclose(upper, lib.upper, rtol=0, atol=1e-12)
+    theta = line_parameters(model)
     assert np.all(lower <= theta) and np.all(theta <= upper)
 
 

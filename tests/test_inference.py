@@ -7,7 +7,6 @@ from pwafit.inference import (
     Hinge1D,
     Hinge2D,
     confidence_intervals,
-    hinge_eval_2d,
     hinge_fit_1d,
     line_parameters,
     piece_assignment,
@@ -231,23 +230,23 @@ def test_hinge_1d_continuity_at_change_point():
 def test_hinge_2d_horizontal_boundary():
     h = Hinge2D(alpha1=0.5, alpha2=-0.2, alpha3=0.1, beta2=1.5, p=(-1.0, 0.0), q=(1.0, 0.0))
     # boundary is y = 0: below it the hinge term vanishes
-    assert hinge_eval_2d(h, 0.3, -0.4) == pytest.approx(0.5 * 0.3 - 0.2 * -0.4 + 0.1)
-    assert hinge_eval_2d(h, 0.3, 0.4) == pytest.approx(0.5 * 0.3 - 0.2 * 0.4 + 0.1 + 1.5 * 0.4)
+    assert h.evaluate(0.3, -0.4) == pytest.approx(0.5 * 0.3 - 0.2 * -0.4 + 0.1)
+    assert h.evaluate(0.3, 0.4) == pytest.approx(0.5 * 0.3 - 0.2 * 0.4 + 0.1 + 1.5 * 0.4)
 
 
 def test_hinge_2d_continuity_on_boundary():
     h = Hinge2D(alpha1=0.4, alpha2=0.7, alpha3=-0.2, beta2=2.0, p=(-1.0, -0.5), q=(1.0, 0.5))
     for x in np.linspace(-1, 1, 21):
         fx = 0.5 * x  # line through p and q
-        above = hinge_eval_2d(h, x, fx + 1e-13)
-        below = hinge_eval_2d(h, x, fx - 1e-13)
+        above = h.evaluate(x, fx + 1e-13)
+        below = h.evaluate(x, fx - 1e-13)
         assert abs(above - below) < 1e-12
 
 
 def test_hinge_2d_vertical_boundary_and_degenerate_cases():
     v = Hinge2D(alpha1=0.0, alpha2=0.0, alpha3=0.0, beta2=1.0, p=(0.2, -1.0), q=(0.2, 1.0))
-    assert hinge_eval_2d(v, 0.2, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert v.evaluate(0.2, 0.5) == pytest.approx(0.0, abs=1e-12)
     flat = Hinge2D(alpha1=0.3, alpha2=0.4, alpha3=0.5, beta2=0.0, p=(0.0, 0.0), q=(1.0, 1.0))
-    assert hinge_eval_2d(flat, 0.6, -0.9) == pytest.approx(0.3 * 0.6 + 0.4 * -0.9 + 0.5)
+    assert flat.evaluate(0.6, -0.9) == pytest.approx(0.3 * 0.6 + 0.4 * -0.9 + 0.5)
     with pytest.raises(ValueError):
         Hinge2D(alpha1=0.0, alpha2=0.0, alpha3=0.0, beta2=1.0, p=(0.0, 0.0), q=(0.0, 0.0))

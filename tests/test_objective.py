@@ -4,8 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwafit.model import MaxAffine, PwaModel, convex_model, pack, unpack
-from pwafit.objective import Dataset, empirical_norm, least_squares, least_squares_gradient
-from pwafit.smoothing import Prox, SmoothingSpec, rho_max, smooth_value_model
+from pwafit.objective import (
+    Dataset,
+    SmoothedLeastSquares,
+    empirical_norm,
+    least_squares,
+    least_squares_gradient,
+)
+from pwafit.smoothing import Prox, SmoothingSpec, rho_max, smooth_max
+
+
+def smooth_value_model(model, spec, x):
+    """Smoothed model value at one point: difference of the smoothed parts."""
+    pt = np.atleast_2d(x)
+    v1, _ = smooth_max(model.part1.piece_values(pt), spec.prox, spec.mu)
+    v2, _ = smooth_max(model.part2.piece_values(pt), spec.prox, spec.mu)
+    return float(v1[0] - v2[0])
 
 
 def random_instance(seed, n=15, d=2, k1=2, k2=2):
@@ -153,3 +167,39 @@ def test_row_permutation_invariance():
         least_squares_gradient(model, spec, shuffled),
         atol=1e-13,
     )
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+@pytest.mark.parametrize("k1,k2,d", [(2, 0, 1), (3, 0, 2), (2, 1, 1), (2, 2, 2)])
+def test_kernel_matches_public_api_and_finite_differences(prox, k1, k2, d):
+    # k2 = 0 pins part2 to the zero part and leaves it out of theta
+    rng = np.random.default_rng(100 * k1 + 10 * k2 + d)
+    theta = rng.uniform(-1, 1, (k1 + k2) * (d + 1))
+    full = np.concatenate([theta, np.zeros(d + 1)]) if k2 == 0 else theta
+    model = unpack(full, k1, max(k2, 1), d)
+    X = rng.uniform(-2, 2, (30, d))
+    data = Dataset(X, model.evaluate(X) + 0.2 * rng.standard_normal(30))
+    spec = SmoothingSpec(prox, 0.1)
+    kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox, 0.1)
+    value = kernel.value(theta)
+    grad = kernel.gradient()
+    assert grad.shape == theta.shape
+    assert value == pytest.approx(least_squares(model, spec, data), abs=1e-12)
+    assert np.allclose(grad, least_squares_gradient(model, spec, data)[: theta.size], rtol=0, atol=1e-12)
+    h = 1e-6
+    fd = np.array(
+        [(kernel.value(theta + h * e) - kernel.value(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
+    )
+    assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10) < 1e-5
+
+
+def test_kernel_gradient_follows_last_value_call():
+    model, data = random_instance(3)
+    kernel = SmoothedLeastSquares(data.X, data.Y, 2, 2, Prox.ENTROPY, 0.1)
+    theta = pack(model)
+    kernel.value(theta)
+    at_theta = kernel.gradient()
+    kernel.value(theta + np.linspace(0.1, 0.5, theta.size))
+    assert not np.allclose(kernel.gradient(), at_theta)
+    kernel.value(theta)
+    assert np.array_equal(kernel.gradient(), at_theta)

@@ -37,10 +37,15 @@ def test_bfgs_on_quadratic():
     b = np.array([1.0, -1.0])
     target = np.linalg.solve(A, b)
 
-    def fg(x):
-        return 0.5 * x @ A @ x - b @ x, A @ x - b
+    class Quadratic:
+        def value(self, x):
+            self.x = x
+            return 0.5 * x @ A @ x - b @ x
 
-    x, f, status, steps, history = _bfgs(fg, np.array([5.0, -7.0]), 1e-8, 100)
+        def gradient(self):
+            return A @ self.x - b
+
+    x, f, status, steps, history = _bfgs(Quadratic(), np.array([5.0, -7.0]), 1e-8, 100)
     assert status == "converged"
     assert np.allclose(x, target, atol=1e-6)
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
@@ -153,3 +158,43 @@ def test_unconverged_fit_reports_best_incumbent():
     assert not res.converged
     assert res.restarts_used == 2
     assert np.isfinite(res.empirical_norm)
+
+
+# Fitted numbers of fit_pool recorded before the objective became one
+# flat-array kernel (x86_64, numpy 2.4 with OpenBLAS 0.3.31).  A refactor of
+# the fit path must reproduce them bit for bit; another BLAS or libm build
+# may round differently.
+PINNED_FITS = [
+    (
+        ("broken-stick-200", 7, 2, 0, "sqerr", 0.01, 10),
+        "0.01070421619805118",
+        [(1.28, 0.012049454958756986, 25), (0.64, 0.011000492368613573, 14),
+         (0.32, 0.010630992974733975, 12), (0.16, 0.01065155123259471, 13),
+         (0.08, 0.010682979524073967, 13), (0.04, 0.010697536092258599, 13),
+         (0.02, 0.010697967701503911, 12), (0.01, 0.01069796768960182, 12)],
+    ),
+    (
+        ("broken-stick-200", 7, 2, 0, "entropy", 0.01, 10),
+        "0.010745947378352076",
+        [(1.28, 0.012345087730861936, 31), (0.64, 0.011794445066642432, 17),
+         (0.32, 0.011135592540378703, 15), (0.16, 0.010705043966974555, 13),
+         (0.08, 0.010628945374602737, 12), (0.04, 0.010666820824972341, 13),
+         (0.02, 0.010690547526466459, 12), (0.01, 0.010697242686863838, 12)],
+    ),
+    (
+        ("planes-d2", 3, 2, 1, "sqerr", 0.1, 2),
+        "0.01126706226436056",
+        [(1.6, 0.016419240069821643, 35), (0.8, 0.012313224263900246, 14),
+         (0.4, 0.010792100464343334, 14), (0.2, 0.010668252314700675, 13),
+         (0.1, 0.01065467948265263, 10)],
+    ),
+]
+
+
+@pytest.mark.parametrize("case,norm_repr,trace", PINNED_FITS, ids=lambda c: str(c)[:40])
+def test_fit_pool_numbers_are_pinned(case, norm_repr, trace):
+    name, seed, k1, k2, prox, mu, pool = case
+    data = generate(preset(name, seed=seed))
+    res = fit_pool(data, k1, k2, prox, FitConfig(mu_target=mu, restarts_pool=pool, seed=seed))
+    assert repr(res.empirical_norm) == norm_repr
+    assert res.anneal_trace == trace

@@ -6,19 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwafit.model import MaxAffine, PwaModel, zero_part
-from pwafit.smoothing import (
-    Prox,
-    SmoothingSpec,
-    project_simplex,
-    rho_max,
-    smooth_gradient_model,
-    smooth_gradient_theta,
-    smooth_value,
-    smooth_value_model,
-    smooth_weights,
-)
+from pwafit.smoothing import Prox, SmoothingSpec, project_simplex, rho_max, smooth_max
 
 ABS = MaxAffine([[1.0, 0.0], [-1.0, 0.0]])
+
+
+def smooth_value(f: MaxAffine, spec: SmoothingSpec, x) -> float:
+    """Smoothed max ``f_mu(x)`` at one point, through the batch function."""
+    vals, _ = smooth_max(f.piece_values(np.atleast_2d(x)), spec.prox, spec.mu)
+    return float(vals[0])
+
+
+def smooth_weights(f: MaxAffine, spec: SmoothingSpec, x) -> np.ndarray:
+    _, W = smooth_max(f.piece_values(np.atleast_2d(x)), spec.prox, spec.mu)
+    return W[0]
+
+
+def smooth_gradient_theta(f: MaxAffine, spec: SmoothingSpec, x) -> np.ndarray:
+    """Danskin gradient of ``f_mu(x)`` w.r.t. the coefficients, pack layout:
+    slope block ``w_j * x`` for each piece, then the intercept block ``w``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    w = smooth_weights(f, spec, x)
+    return np.concatenate([np.outer(w, x).ravel(), w])
+
+
+def smooth_value_model(model: PwaModel, spec: SmoothingSpec, x) -> float:
+    return smooth_value(model.part1, spec, x) - smooth_value(model.part2, spec, x)
+
+
+def smooth_gradient_model(model: PwaModel, spec: SmoothingSpec, x) -> np.ndarray:
+    g1 = smooth_gradient_theta(model.part1, spec, x)
+    g2 = smooth_gradient_theta(model.part2, spec, x)
+    return np.concatenate([g1, -g2])
 
 
 def brute_force_project(C: np.ndarray) -> np.ndarray:
@@ -158,8 +177,7 @@ def test_sandwich_bound(k, seed):
     exact = f.evaluate(X)
     for prox in Prox:
         for mu in (1.0, 0.1, 0.01, 1e-4):
-            spec = SmoothingSpec(prox, mu)
-            smoothed = np.array([smooth_value(f, spec, x) for x in X])
+            smoothed, _ = smooth_max(f.piece_values(X), prox, mu)
             gap = exact - smoothed
             assert np.all(gap >= -1e-10)
             assert np.all(gap <= mu * rho_max(prox, k) + 1e-10)
@@ -171,7 +189,7 @@ def test_entropy_monotone_in_mu():
     X = rng.uniform(-2, 2, (20, 2))
     prev = None
     for mu in (1.0, 0.5, 0.1, 0.01):
-        vals = np.array([smooth_value(f, SmoothingSpec(Prox.ENTROPY, mu), x) for x in X])
+        vals, _ = smooth_max(f.piece_values(X), Prox.ENTROPY, mu)
         if prev is not None:
             assert np.all(vals >= prev - 1e-12)
         prev = vals
