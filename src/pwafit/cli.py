@@ -104,10 +104,10 @@ def _cmd_fit(args) -> int:
     t0 = time.perf_counter()
     try:
         data = dataset_from_csv(args.infile)
+        config = _fit_config(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = _fit_config(args)
     try:
         res = fit_pool(data, args.k1, args.k2, args.prox, config)
     except ValueError as exc:
@@ -151,12 +151,15 @@ def _cmd_ci(args) -> int:
         with open(args.fit) as fh:
             fit_obj = json.load(fh)
         model = model_from_json_dict(fit_obj["model"])
+        theta = line_parameters(model)
+        if not 0.0 < args.level < 1.0:
+            raise ValueError("level must be in (0, 1)")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         cov = plugin_covariance(model, data)
-        ci = confidence_intervals(line_parameters(model), cov, args.level)
+        ci = confidence_intervals(theta, cov, args.level)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .model import PwaModel
+from .model import MaxAffine, PwaModel
 from .objective import Dataset
 from .optimizer import FitResult
-from .smoothing import SmoothingSpec, _batch_values_weights
+from .smoothing import SmoothingSpec, smooth_max
 
 __all__ = [
     "CovarianceEstimate",
@@ -36,11 +36,28 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    V: np.ndarray
-    W: np.ndarray
-    C: np.ndarray  # sandwich V^-1 W V^-1
+    """Sandwich covariance of the two-piece line parameters.
+
+    ``M = G'G/n`` is the moment matrix of the rows
+    ``G_i = (w_i1 (x_i, 1), w_i2 (x_i, 1))``.  The plug-in estimate uses
+    hard one-hot piece weights ``w_i``, which is the ``mu -> 0`` limit of
+    the smoothed estimate, so both come from the same code.  ``C`` is the
+    sandwich ``V^-1 W V^-1 = sigma2_hat M^-1``; ``V = 2M`` and
+    ``W = 4 sigma2_hat M`` are derived from ``M``.
+    """
+
+    M: np.ndarray
+    C: np.ndarray
     sigma2_hat: float
     segment_counts: np.ndarray
+
+    @property
+    def V(self) -> np.ndarray:
+        return 2.0 * self.M
+
+    @property
+    def W(self) -> np.ndarray:
+        return 4.0 * self.sigma2_hat * self.M
 
 
 @dataclass(frozen=True)
@@ -50,17 +67,17 @@ class ConfidenceIntervals:
     level: float
 
 
-def _two_piece_lines(model: PwaModel) -> np.ndarray:
-    """Rows (a_j, b_j) of the two effective lines of a convex k1=2 model."""
+def _two_piece_part(model: PwaModel) -> MaxAffine:
+    """The convex part of the normalised model, which must have two pieces."""
     m = model.normalize()
     if m.k1 != 2 or m.k2 != 1:
         raise ValueError("a two-piece convex model (k1=2, trivial part2) is required")
-    return m.part1.coeffs
+    return m.part1
 
 
 def line_parameters(model: PwaModel) -> np.ndarray:
     """Flat parameter vector (a_1, b_1, a_2, b_2) of the two-piece model."""
-    return _two_piece_lines(model).ravel()
+    return _two_piece_part(model).coeffs.ravel()
 
 
 def piece_assignment(model: PwaModel, data: Dataset) -> np.ndarray:
@@ -72,76 +89,45 @@ def piece_assignment(model: PwaModel, data: Dataset) -> np.ndarray:
     return np.argmax(m.part1.piece_values(data.X), axis=1)
 
 
-def _sigma2(model: PwaModel, data: Dataset, dof_correction: bool, p: int) -> float:
+def _covariance(model: PwaModel, data: Dataset, weights: np.ndarray) -> CovarianceEstimate:
+    """Sandwich covariance from per-point piece weights (n x 2)."""
+    Xaug = np.column_stack([data.X, np.ones(data.n)])
+    # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
+    G = (weights[:, :, None] * Xaug[:, None, :]).reshape(data.n, -1)
+    M = G.T @ G / data.n
     r = data.Y - model.evaluate(data.X)
-    denom = data.n - p if dof_correction else data.n
-    if denom <= 0:
-        raise ValueError("too few points for the requested dof correction")
-    return float(np.sum(r * r) / denom)
+    sigma2 = float(np.sum(r * r) / data.n)
+    if np.linalg.cond(M) > _COND_LIMIT:
+        warnings.warn("singular moment matrix; using pseudo-inverse")
+        Minv = np.linalg.pinv(M)
+    else:
+        Minv = np.linalg.inv(M)
+    counts = np.bincount(np.argmax(weights, axis=1), minlength=weights.shape[1])
+    return CovarianceEstimate(M=M, C=sigma2 * Minv, sigma2_hat=sigma2, segment_counts=counts)
 
 
-def _block_inverse(S: np.ndarray, label: str) -> np.ndarray:
-    if np.linalg.cond(S) > _COND_LIMIT:
-        warnings.warn(f"singular moment block for {label}; using pseudo-inverse")
-        return np.linalg.pinv(S)
-    return np.linalg.inv(S)
-
-
-def _assemble(moments: list[np.ndarray], sigma2: float, counts: np.ndarray) -> CovarianceEstimate:
-    from scipy.linalg import block_diag
-
-    M = block_diag(*moments)
-    V = 2.0 * M
-    W = 2.0 * sigma2 * V
-    Cinv_blocks = [_block_inverse(S, f"piece {j + 1}") for j, S in enumerate(moments)]
-    C = sigma2 * block_diag(*Cinv_blocks)
-    return CovarianceEstimate(V=V, W=W, C=C, sigma2_hat=sigma2, segment_counts=counts)
-
-
-def plugin_covariance(
-    model: PwaModel, data: Dataset, dof_correction: bool = False
-) -> CovarianceEstimate:
+def plugin_covariance(model: PwaModel, data: Dataset) -> CovarianceEstimate:
     """Sandwich covariance for the two-piece convex model via hard piece
-    assignment.
-
-    Empirical moment blocks are the per-piece sums of ``[x,1][x,1]'``
-    scaled by ``1/n``; ``V = W / (2 sigma^2)`` and ``C = 2 sigma^2 V^-1``.
+    assignment: the moment matrix is block diagonal, with the per-piece
+    sums of ``[x,1][x,1]'`` scaled by ``1/n`` as its blocks.
     """
-    lines = _two_piece_lines(model)
+    _two_piece_part(model)
     assign = piece_assignment(model, data)
     counts = np.bincount(assign, minlength=2)
     if np.any(counts == 0):
         raise ValueError("a piece has no assigned data points")
-    d = data.d
-    if np.any(counts < d + 1):
+    if np.any(counts < data.d + 1):
         warnings.warn("a piece has fewer than d+1 points; moment block is singular")
-    Xaug = np.column_stack([data.X, np.ones(data.n)])
-    moments = [
-        Xaug[assign == j].T @ Xaug[assign == j] / data.n for j in range(lines.shape[0])
-    ]
-    sigma2 = _sigma2(model, data, dof_correction, lines.size)
-    return _assemble(moments, sigma2, counts)
+    return _covariance(model, data, np.eye(2)[assign])
 
 
-def smoothed_covariance(
-    model: PwaModel, spec: SmoothingSpec, data: Dataset, dof_correction: bool = False
-) -> CovarianceEstimate:
+def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> CovarianceEstimate:
     """Covariance with per-point smoothing weights instead of hard piece
     assignment; converges entrywise to :func:`plugin_covariance` as mu -> 0.
     """
-    lines = _two_piece_lines(model)
-    m = model.normalize()
-    _, Wts = _batch_values_weights(m.part1, spec, data.X)
-    counts = np.bincount(np.argmax(Wts, axis=1), minlength=2)
-    Xaug = np.column_stack([data.X, np.ones(data.n)])
-    # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
-    G = np.hstack([Wts[:, j : j + 1] * Xaug for j in range(lines.shape[0])])
-    M = G.T @ G / data.n
-    sigma2 = _sigma2(model, data, dof_correction, lines.size)
-    V = 2.0 * M
-    W = 2.0 * sigma2 * V
-    C = sigma2 * _block_inverse(M, "weighted moments")
-    return CovarianceEstimate(V=V, W=W, C=C, sigma2_hat=sigma2, segment_counts=counts)
+    part = _two_piece_part(model)
+    _, weights = smooth_max(part.piece_values(data.X), spec.prox, spec.mu)
+    return _covariance(model, data, weights)
 
 
 def confidence_intervals(
@@ -164,14 +150,12 @@ def confidence_intervals(
     p = cov.C.shape[0]
     if theta.size != p:
         raise ValueError("estimate length does not match the covariance matrix")
-    block = p // len(cov.segment_counts)
+    N = np.repeat(cov.segment_counts, p // len(cov.segment_counts))
+    empty = np.flatnonzero(N == 0)
+    if empty.size:
+        raise ValueError(f"no data points on the piece owning parameter {empty[0]}")
     z = float(norm.ppf(0.5 + level / 2.0))
-    half = np.empty(p)
-    for i in range(p):
-        N = int(cov.segment_counts[i // block])
-        if N == 0:
-            raise ValueError(f"no data points on the piece owning parameter {i}")
-        half[i] = z * np.sqrt(max(cov.C[i, i], 0.0) / N)
+    half = z * np.sqrt(np.maximum(np.diag(cov.C), 0.0) / N)
     return ConfidenceIntervals(lower=theta - half, upper=theta + half, level=level)
 
 

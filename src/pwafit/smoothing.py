@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MaxAffine
-
 __all__ = [
     "Prox",
     "SmoothingSpec",
@@ -90,8 +88,3 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float) -> tuple[np.ndarray, np.nda
     rho = 0.5 * np.sum((W - 1.0 / k) ** 2, axis=1)
     vals = np.sum(W * Z, axis=1) - mu * rho
     return vals, W
-
-
-def _batch_values_weights(f: MaxAffine, spec: SmoothingSpec, X) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed values and maximizing simplex weights at a batch of points."""
-    return smooth_max(f.piece_values(X), spec.prox, spec.mu)

@@ -5,7 +5,7 @@ import pytest
 
 from pwafit.cli import main
 from pwafit.inference import confidence_intervals, line_parameters, plugin_covariance
-from pwafit.model import model_from_json_dict
+from pwafit.model import MaxAffine, PwaModel, convex_model, model_from_json_dict, model_to_json_dict
 from pwafit.simulate import dataset_from_csv
 
 
@@ -95,6 +95,16 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--pool", 0), ("--mu", 0), ("--tol", -1)])
+def test_fit_bad_config_exits_2(tmp_path, capsys, flag, value):
+    data = tmp_path / "plane.csv"
+    write_plane_csv(data)
+    out = tmp_path / "fit.json"
+    assert run("fit", "--in", data, "--k1", 1, flag, value, "--out", out) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_nonconvergence_exits_3_with_output(tmp_path, capsys):
     data = tmp_path / "stick.csv"
     assert run("simulate", "--preset", "broken-stick-200", "--seed", 2, "--out", data) == 0
@@ -120,6 +130,9 @@ def test_ci_pipeline(tmp_path):
     assert run("ci", "--in", data, "--fit", fit_out, "--out", ci_out) == 0
     payload = json.loads(ci_out.read_text())
     assert payload["level"] == 0.95
+    assert set(payload) == {
+        "schema", "level", "lower", "upper", "sigma2_hat", "segment_counts", "V", "W", "C"
+    }
     lower, upper = np.array(payload["lower"]), np.array(payload["upper"])
     assert lower.shape == (4,) and np.all(lower <= upper)
     assert sum(payload["segment_counts"]) == 200
@@ -160,6 +173,42 @@ def test_ci_missing_fit_file_exits_2(tmp_path, capsys):
     assert run("simulate", "--preset", "broken-stick-200", "--seed", 1, "--out", data) == 0
     code = run("ci", "--in", data, "--fit", tmp_path / "missing.json", "--out", tmp_path / "c.json")
     assert code == 2
+
+
+def run_ci(tmp_path, model, level=0.95):
+    data = tmp_path / "plane.csv"
+    write_plane_csv(data, noise=0.05)
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({"model": model_to_json_dict(model)}))
+    out = tmp_path / "ci.json"
+    code = run("ci", "--in", data, "--fit", fit, "--level", level, "--out", out)
+    return code, out
+
+
+def test_ci_bad_level_exits_2(tmp_path, capsys):
+    code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, 0.0]]), level=1.5)
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ci_non_two_piece_fit_exits_2(tmp_path, capsys):
+    # the shape of a --k1 3 --k2 1 fit
+    model = PwaModel(
+        MaxAffine([[1.0, 0.0], [-1.0, 0.0], [0.2, 0.3]]), MaxAffine([[0.5, 0.1]])
+    )
+    code, out = run_ci(tmp_path, model)
+    assert code == 2
+    assert "two-piece" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ci_empty_piece_exits_3(tmp_path, capsys):
+    # the second line lies below the first on all of [-1, 1]
+    code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, -10.0]]))
+    assert code == 3
+    assert "no assigned data points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_table_shape(tmp_path):

@@ -15,6 +15,7 @@ from pwafit.inference import (
 )
 from pwafit.model import MaxAffine, PwaModel, convex_model, zero_part
 from pwafit.objective import Dataset
+from pwafit.simulate import generate, preset
 from pwafit.smoothing import Prox, SmoothingSpec
 
 ABS_MODEL = convex_model([[1.0, 0.0], [-1.0, 0.0]])
@@ -58,6 +59,29 @@ def test_plugin_moment_blocks_hand_computed():
     assert cov.sigma2_hat == pytest.approx(0.0)
 
 
+def test_plugin_matches_per_piece_block_oracle():
+    scenario = preset("planes-d2", seed=4)
+    data = generate(scenario)
+    cov = plugin_covariance(scenario.model, data)
+    # independent oracle: one moment block and one inverse per piece
+    assign = piece_assignment(scenario.model, data)
+    Xaug = np.column_stack([data.X, np.ones(data.n)])
+    q = Xaug.shape[1]
+    blocks = [Xaug[assign == j].T @ Xaug[assign == j] / data.n for j in range(2)]
+    r = data.Y - scenario.model.evaluate(data.X)
+    sigma2 = np.sum(r * r) / data.n
+    M = np.zeros((2 * q, 2 * q))
+    C = np.zeros((2 * q, 2 * q))
+    for j, S in enumerate(blocks):
+        M[j * q : (j + 1) * q, j * q : (j + 1) * q] = S
+        C[j * q : (j + 1) * q, j * q : (j + 1) * q] = sigma2 * np.linalg.inv(S)
+    assert np.all(cov.M[:q, q:] == 0.0) and np.all(cov.M[q:, :q] == 0.0)
+    assert np.max(np.abs(cov.M - M)) <= 1e-12 * np.max(np.abs(M))
+    assert np.max(np.abs(cov.C - C)) <= 1e-12 * np.max(np.abs(C))
+    assert cov.sigma2_hat == pytest.approx(sigma2, rel=1e-12)
+    assert cov.segment_counts.tolist() == np.bincount(assign).tolist()
+
+
 def test_sandwich_identities():
     data = separated_dataset(1)
     cov = plugin_covariance(ABS_MODEL, data)
@@ -80,13 +104,13 @@ def test_noiseless_fit_collapses_intervals():
 
 def test_interval_arithmetic():
     cov = CovarianceEstimate(
-        V=np.eye(4), W=np.eye(4), C=np.eye(4), sigma2_hat=1.0,
+        M=np.eye(4), C=np.eye(4), sigma2_hat=1.0,
         segment_counts=np.array([100, 100]),
     )
     ci = confidence_intervals(np.zeros(4), cov, 0.95)
     assert np.allclose(ci.upper, 1.959964 * 0.1, atol=1e-5)
     degenerate = CovarianceEstimate(
-        V=np.eye(4), W=np.zeros((4, 4)), C=np.zeros((4, 4)), sigma2_hat=0.0,
+        M=np.eye(4), C=np.zeros((4, 4)), sigma2_hat=0.0,
         segment_counts=np.array([100, 100]),
     )
     ci0 = confidence_intervals(np.ones(4), degenerate, 0.95)
@@ -94,15 +118,30 @@ def test_interval_arithmetic():
     assert np.array_equal(ci0.upper, np.ones(4))
 
 
+def test_interval_half_widths_match_per_parameter_loop():
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((6, 6))
+    cov = CovarianceEstimate(
+        M=np.eye(6), C=A @ A.T, sigma2_hat=1.0, segment_counts=np.array([30, 70]),
+    )
+    theta = rng.standard_normal(6)
+    ci = confidence_intervals(theta, cov, 0.9)
+    z = 1.6448536269514722
+    # reference: parameters 0-2 belong to piece 1, 3-5 to piece 2
+    half = [z * np.sqrt(cov.C[i, i] / cov.segment_counts[i // 3]) for i in range(6)]
+    assert np.allclose(ci.upper - theta, half, rtol=1e-12, atol=0)
+    assert np.allclose(theta - ci.lower, half, rtol=1e-12, atol=0)
+
+
 def test_interval_validation():
     cov = CovarianceEstimate(
-        V=np.eye(4), W=np.eye(4), C=np.eye(4), sigma2_hat=1.0,
+        M=np.eye(4), C=np.eye(4), sigma2_hat=1.0,
         segment_counts=np.array([10, 0]),
     )
     with pytest.raises(ValueError):
         confidence_intervals(np.zeros(4), cov, 0.95)
     good = CovarianceEstimate(
-        V=np.eye(4), W=np.eye(4), C=np.eye(4), sigma2_hat=1.0,
+        M=np.eye(4), C=np.eye(4), sigma2_hat=1.0,
         segment_counts=np.array([10, 10]),
     )
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pwafit.model import (
     MaxAffine,
@@ -77,12 +78,12 @@ def test_normalize_shifts_first_row():
         assert norm.evaluate(x) == pytest.approx(-1.0)
 
 
-@given(st.integers(0, 2**32 - 1))
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_normalize_preserves_evaluate(seed):
-    m = random_model(seed)
+def test_normalize_preserves_evaluate(k1, k2, d, seed):
+    m = random_model(seed, k1, k2, d)
     norm = m.normalize()
-    X = np.random.default_rng(seed + 1).uniform(-3, 3, (100, 2))
+    X = np.random.default_rng(seed + 1).uniform(-3, 3, (100, d))
     assert np.max(np.abs(m.evaluate(X) - norm.evaluate(X))) <= 1e-12 * 100
 
 
@@ -112,12 +113,23 @@ def test_pack_unpack_example():
     assert np.array_equal(m.part2.coeffs, [[0.0, 0.0]])
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_pack_unpack_roundtrip(seed):
-    v = np.random.default_rng(seed).uniform(-5, 5, 12)
-    assert np.array_equal(pack(unpack(v, 2, 2, 2)), v)
-    assert np.array_equal(pack(unpack(v, 3, 3, 1)), v)
+@st.composite
+def layouts_and_vectors(draw):
+    k1, k2, d = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return k1, k2, d, draw(hnp.arrays(np.float64, (k1 + k2) * (d + 1), elements=finite))
+
+
+@given(layouts_and_vectors())
+@settings(max_examples=50, deadline=None)
+def test_pack_unpack_roundtrip(case):
+    k1, k2, d, v = case
+    m = unpack(v, k1, k2, d)
+    assert (m.k1, m.k2, m.d) == (k1, k2, d)
+    assert pack(m).tobytes() == v.tobytes()
+    back = unpack(pack(m), k1, k2, d)
+    assert back.part1.coeffs.tobytes() == m.part1.coeffs.tobytes()
+    assert back.part2.coeffs.tobytes() == m.part2.coeffs.tobytes()
 
 
 def test_unpack_wrong_length():

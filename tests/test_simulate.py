@@ -1,8 +1,14 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pwafit.model import convex_model
-from pwafit.objective import empirical_norm
+from pwafit.objective import Dataset, empirical_norm
 from pwafit.simulate import (
     Scenario,
     dataset_from_csv,
@@ -83,16 +89,26 @@ def test_plane_pair_constraints_hold():
             assert abs(b2 - b1) <= float(np.sum(np.abs(a1 - a2)))
 
 
-def test_csv_roundtrip_is_exact(tmp_path):
-    data = generate(Scenario(preset("planes-d2").model, n=40, noise_sd=0.1, seed=11))
-    path = tmp_path / "data.csv"
-    dataset_to_csv(data, path)
-    back = dataset_from_csv(path)
-    assert np.array_equal(back.X, data.X)
-    assert np.array_equal(back.Y, data.Y)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    assert raw.startswith(b"x1,x2,y\n")
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(2, 4)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_csv_roundtrip_is_exact(table):
+    data = Dataset(table[:, :-1], table[:, -1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        dataset_to_csv(data, path)
+        back = dataset_from_csv(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    assert back.X.tobytes() == data.X.tobytes()
+    assert back.Y.tobytes() == data.Y.tobytes()
+    header = ",".join([f"x{i + 1}" for i in range(data.d)] + ["y"])
+    assert raw.startswith(header.encode() + b"\n")
     assert b"\r" not in raw
 
 
