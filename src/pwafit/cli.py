@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -52,32 +53,25 @@ def _write_table(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _count(text: str) -> int:
+    """``type=`` for ``--pool`` and ``--reps``: an integer of at least 1."""
     try:
-        scenario = preset(args.preset, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    data = generate(scenario)
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+# Each command does its work and returns ``(exit code, outputs)``; ``main``
+# writes the manifest of ``outputs[0]`` and turns input errors into exit 2.
+
+
+def _cmd_simulate(args):
+    data = generate(preset(args.preset, seed=args.seed))
     dataset_to_csv(data, args.out)
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"preset": args.preset, "seed": args.seed, "n": scenario.n, "noise_sd": scenario.noise_sd},
-        {"total_s": time.perf_counter() - t0},
-        [args.out],
-    )
-    return 0
-
-
-def _fit_config(args) -> FitConfig:
-    return FitConfig(
-        mu_target=args.mu,
-        tolerance=args.tol,
-        restarts_pool=args.pool,
-        seed=args.seed,
-    )
+    return 0, [args.out]
 
 
 def _fit_result_json(res, config: FitConfig, prox: str) -> dict:
@@ -100,19 +94,15 @@ def _fit_result_json(res, config: FitConfig, prox: str) -> dict:
     }
 
 
-def _cmd_fit(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        data = dataset_from_csv(args.infile)
-        config = _fit_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        res = fit_pool(data, args.k1, args.k2, args.prox, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_fit(args):
+    data = dataset_from_csv(args.infile)
+    config = FitConfig(
+        mu_target=args.mu,
+        tolerance=args.tol,
+        restarts_pool=args.pool,
+        seed=args.seed,
+    )
+    res = fit_pool(data, args.k1, args.k2, args.prox, config)
     outputs = [args.out]
     _write_json(args.out, _fit_result_json(res, config, args.prox))
     if args.fitted_csv:
@@ -122,47 +112,24 @@ def _cmd_fit(args) -> int:
             for row, y, f in zip(data.X, data.Y, fitted):
                 fh.write(",".join(repr(float(v)) for v in [*row, y, f]) + "\n")
         outputs.append(args.fitted_csv)
-    _write_manifest(
-        args.out,
-        "fit",
-        {
-            "in": args.infile,
-            "k1": args.k1,
-            "k2": args.k2,
-            "prox": args.prox,
-            "mu": args.mu,
-            "tol": args.tol,
-            "pool": args.pool,
-            "seed": args.seed,
-        },
-        {"total_s": time.perf_counter() - t0},
-        outputs,
-    )
     if not res.converged:
         print("warning: fit did not converge; best incumbent written", file=sys.stderr)
-        return 3
-    return 0
+        return 3, outputs
+    return 0, outputs
 
 
-def _cmd_ci(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        data = dataset_from_csv(args.infile)
-        with open(args.fit) as fh:
-            fit_obj = json.load(fh)
-        model = model_from_json_dict(fit_obj["model"])
-        theta = line_parameters(model)
-        if not 0.0 < args.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_ci(args):
+    data = dataset_from_csv(args.infile)
+    with open(args.fit) as fh:
+        fit_obj = json.load(fh)
+    model = model_from_json_dict(fit_obj["model"])
+    theta = line_parameters(model)
     try:
         cov = plugin_covariance(model, data)
-        ci = confidence_intervals(theta, cov, args.level)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3, []
+    ci = confidence_intervals(theta, cov, args.level)
     _write_json(
         args.out,
         {
@@ -177,58 +144,31 @@ def _cmd_ci(args) -> int:
             "C": cov.C.tolist(),
         },
     )
-    _write_manifest(
-        args.out,
-        "ci",
-        {"in": args.infile, "fit": args.fit, "level": args.level, "seed": None},
-        {"total_s": time.perf_counter() - t0},
-        [args.out],
+    return 0, [args.out]
+
+
+def _cmd_compare(args):
+    rows = compare_methods(
+        args.preset, reps=args.reps, mu=args.mu, pool=args.pool, seed=args.seed
     )
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        rows = compare_methods(
-            args.preset, reps=args.reps, mu=args.mu, pool=args.pool, seed=args.seed
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _write_table(args.out, rows)
-    _write_manifest(
-        args.out,
-        "compare",
-        {"preset": args.preset, "reps": args.reps, "mu": args.mu, "pool": args.pool, "seed": args.seed},
-        {"total_s": time.perf_counter() - t0},
-        [args.out],
-    )
-    return 0
+    return 0, [args.out]
 
 
-def _cmd_experiment(args) -> int:
-    t0 = time.perf_counter()
-    import os
-
+def _cmd_experiment(args):
     os.makedirs(args.outdir, exist_ok=True)
     name = args.name
     base = os.path.join(args.outdir, name.replace("-", "_"))
-    outputs = []
+    rows = None
     if name == "mu-sweep":
         rows = mu_sweep(reps=args.reps, pool=args.pool, seed=args.seed)
-        _write_table(f"{base}.csv", rows)
-        summary = {"schema": SCHEMA, "experiment": name, "rows": rows}
-        outputs.append(f"{base}.csv")
+        result = {"rows": rows}
     elif name == "restart-ecdf":
         result = restart_ecdf(n_fits=args.reps, seed=args.seed)
         devs = sorted(result["deviations"])
         rows = [
             {"deviation": dev, "ecdf": (i + 1) / len(devs)} for i, dev in enumerate(devs)
         ]
-        _write_table(f"{base}.csv", rows)
-        summary = {"schema": SCHEMA, "experiment": name, **result}
-        outputs.append(f"{base}.csv")
     elif name == "coverage":
         result = coverage_study(reps=args.reps, pool=args.pool, seed=args.seed)
         rows = [
@@ -237,24 +177,14 @@ def _cmd_experiment(args) -> int:
                 result["parameters"], result["coverage"], result["length_mean"]
             )
         ]
-        _write_table(f"{base}.csv", rows)
-        summary = {"schema": SCHEMA, "experiment": name, **result}
-        outputs.append(f"{base}.csv")
-    elif name == "three-planes":
-        summary = {"schema": SCHEMA, "experiment": name, **three_planes(pool=args.pool, seed=args.seed)}
     else:
-        print(f"error: unknown experiment {name!r}", file=sys.stderr)
-        return 2
-    _write_json(f"{base}_summary.json", summary)
-    outputs.append(f"{base}_summary.json")
-    _write_manifest(
-        f"{base}_summary.json",
-        "experiment",
-        {"name": name, "reps": args.reps, "pool": args.pool, "seed": args.seed},
-        {"total_s": time.perf_counter() - t0},
-        outputs,
-    )
-    return 0
+        result = three_planes(pool=args.pool, seed=args.seed)
+    outputs = [f"{base}_summary.json"]
+    _write_json(outputs[0], {"schema": SCHEMA, "experiment": name, **result})
+    if rows is not None:
+        _write_table(f"{base}.csv", rows)
+        outputs.append(f"{base}.csv")
+    return 0, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--prox", choices=["entropy", "sqerr"], default="sqerr")
     p_fit.add_argument("--mu", type=float, default=0.1)
     p_fit.add_argument("--tol", type=float, default=1e-5)
-    p_fit.add_argument("--pool", type=int, default=10)
+    p_fit.add_argument("--pool", type=_count, default=10)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--fitted-csv", default=None)
@@ -290,17 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="smoothed fit vs Nelder-Mead on a preset")
     p_cmp.add_argument("--preset", required=True)
-    p_cmp.add_argument("--reps", type=int, default=100)
+    p_cmp.add_argument("--reps", type=_count, default=100)
     p_cmp.add_argument("--mu", type=float, default=0.1)
-    p_cmp.add_argument("--pool", type=int, default=10)
+    p_cmp.add_argument("--pool", type=_count, default=10)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_exp = sub.add_parser("experiment", help="run a named simulation study")
     p_exp.add_argument("name", choices=_EXPERIMENTS)
-    p_exp.add_argument("--reps", type=int, default=100)
-    p_exp.add_argument("--pool", type=int, default=10)
+    p_exp.add_argument("--reps", type=_count, default=100)
+    p_exp.add_argument("--pool", type=_count, default=10)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--outdir", required=True)
     p_exp.set_defaults(func=_cmd_experiment)
@@ -314,7 +244,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    t0 = time.perf_counter()
+    try:
+        code, outputs = args.func(args)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if outputs:
+        recorded = {key: value for key, value in vars(args).items() if key != "func"}
+        _write_manifest(
+            outputs[0], args.command, recorded, {"total_s": time.perf_counter() - t0}, outputs
+        )
+    return code
 
 
 def console_entry() -> None:

@@ -14,7 +14,7 @@ import numpy as np
 from .inference import confidence_intervals, line_parameters, plugin_covariance
 from .model import convex_model, param_distance
 from .objective import Dataset
-from .optimizer import FitConfig, fit, fit_pool, _default_rng
+from .optimizer import FitConfig, fit, fit_pool
 from .simulate import Scenario, generate, preset
 
 __all__ = [

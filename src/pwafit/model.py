@@ -8,6 +8,7 @@ difference of two such max-affine parts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,8 +199,6 @@ def param_distance(model_a: PwaModel, model_b: PwaModel) -> float:
     b = model_b.normalize()
     if (a.k1, a.k2, a.d) != (b.k1, b.k2, b.d):
         raise ValueError("models must have matching shapes")
-    import math
-
     if math.factorial(a.k1) * math.factorial(max(a.k2 - 1, 1)) > 720:
         raise ValueError("too many pieces for permutation matching")
     vb = pack(b)

@@ -41,8 +41,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mu_target <= 0 or self.tolerance <= 0 or self.init_radius <= 0:
-            raise ValueError("mu_target, tolerance and init_radius must be positive")
+        for value in (self.mu_target, self.tolerance, self.init_radius):
+            if not np.isfinite(value) or value <= 0:
+                raise ValueError(
+                    "mu_target, tolerance and init_radius must be positive and finite"
+                )
         if self.max_newton_steps < 1 or self.max_restarts < 0 or self.restarts_pool < 1:
             raise ValueError("invalid iteration/restart configuration")
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwafit
 from pwafit.cli import main
 from pwafit.inference import confidence_intervals, line_parameters, plugin_covariance
 from pwafit.model import MaxAffine, PwaModel, convex_model, model_from_json_dict, model_to_json_dict
@@ -95,7 +100,9 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--pool", 0), ("--mu", 0), ("--tol", -1)])
+@pytest.mark.parametrize(
+    "flag, value", [("--pool", 0), ("--mu", 0), ("--tol", -1), ("--tol", "nan"), ("--mu", "inf")]
+)
 def test_fit_bad_config_exits_2(tmp_path, capsys, flag, value):
     data = tmp_path / "plane.csv"
     write_plane_csv(data)
@@ -242,3 +249,42 @@ def test_experiment_unknown_name_exits_2(tmp_path):
 
 def test_version_flag():
     assert run("--version") == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "coverage", "--reps", 1, "--pool", 0, "--outdir", "{tmp}/results"],
+        ["experiment", "mu-sweep", "--reps", 0, "--pool", 1, "--outdir", "{tmp}/results"],
+        ["compare", "--preset", "broken-stick-200", "--reps", 0, "--out", "{tmp}/compare.csv"],
+        ["simulate", "--preset", "broken-stick-200", "--out", "{tmp}/missing/data.csv"],
+        ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--pool", 1, "--out", "{tmp}/missing/f.json"],
+    ],
+    ids=[
+        "experiment-pool-0", "experiment-reps-0", "compare-reps-0", "simulate-no-dir", "fit-no-dir"
+    ],
+)
+def test_invalid_input_exits_2_without_output(tmp_path, capsys, argv):
+    write_plane_csv(tmp_path / "plane.csv")
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*[str(a).format(tmp=tmp_path) for a in argv]) == 2
+    assert "error" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_module_entry_exit_status(tmp_path):
+    # runs console_entry's sys.exit(main()) in a fresh interpreter
+    paths = [str(Path(pwafit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+    def status(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "pwafit.cli", *map(str, argv)],
+            env=env, capture_output=True, timeout=120,
+        ).returncode
+
+    assert status("--version") == 0
+    write_plane_csv(tmp_path / "plane.csv")
+    out = tmp_path / "f.json"
+    assert status("fit", "--in", tmp_path / "plane.csv", "--k1", 1, "--pool", 0, "--out", out) == 2
+    assert not out.exists()

@@ -24,12 +24,20 @@ def test_anneal_schedule_examples():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(mu_target=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        FitConfig(restarts_pool=0)
+    bad = [
+        {"mu_target": 0.0},
+        {"tolerance": -1.0},
+        {"restarts_pool": 0},
+        {"mu_target": np.nan},
+        {"mu_target": np.inf},
+        {"tolerance": np.nan},
+        {"tolerance": np.inf},
+        {"init_radius": np.nan},
+        {"init_radius": np.inf},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            FitConfig(**kwargs)
 
 
 def test_bfgs_on_quadratic():
