@@ -64,6 +64,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _level(text: str) -> float:
+    """``type=`` for ``--level``: a number strictly between 0 and 1."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 # Each command does its work and returns ``(exit code, outputs)``; ``main``
 # writes the manifest of ``outputs[0]`` and turns input errors into exit 2.
 
@@ -106,11 +114,10 @@ def _cmd_fit(args):
     outputs = [args.out]
     _write_json(args.out, _fit_result_json(res, config, args.prox))
     if args.fitted_csv:
-        fitted = res.model.evaluate(data.X)
-        with open(args.fitted_csv, "w", newline="\n") as fh:
-            fh.write(",".join([f"x{i + 1}" for i in range(data.d)] + ["y", "fitted"]) + "\n")
-            for row, y, f in zip(data.X, data.Y, fitted):
-                fh.write(",".join(repr(float(v)) for v in [*row, y, f]) + "\n")
+        names = [f"x{i + 1}" for i in range(data.d)] + ["y", "fitted"]
+        columns = zip(data.X, data.Y, res.model.evaluate(data.X))
+        rows = [dict(zip(names, map(float, [*x, y, f]))) for x, y, f in columns]
+        _write_table(args.fitted_csv, rows)
         outputs.append(args.fitted_csv)
     if not res.converged:
         print("warning: fit did not converge; best incumbent written", file=sys.stderr)
@@ -214,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci = sub.add_parser("ci", help="confidence intervals for a two-piece fit")
     p_ci.add_argument("--in", dest="infile", required=True)
     p_ci.add_argument("--fit", required=True)
-    p_ci.add_argument("--level", type=float, default=0.95)
+    p_ci.add_argument("--level", type=_level, default=0.95)
     p_ci.add_argument("--out", required=True)
     p_ci.set_defaults(func=_cmd_ci)
 
@@ -246,9 +253,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
+        # a missing output directory would otherwise surface only after the work
+        for path in (vars(args).get("out"), vars(args).get("fitted_csv")):
+            if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+                raise FileNotFoundError(f"no such directory for output: {path}")
         code, outputs = args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:
+        print(f"error: missing key {exc} in input", file=sys.stderr)
         return 2
     if outputs:
         recorded = {key: value for key, value in vars(args).items() if key != "func"}

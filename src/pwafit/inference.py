@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .model import MaxAffine, PwaModel
-from .objective import Dataset
+from .objective import Dataset, empirical_norm
 from .optimizer import FitResult
 from .smoothing import SmoothingSpec, smooth_max
 
@@ -95,8 +95,7 @@ def _covariance(model: PwaModel, data: Dataset, weights: np.ndarray) -> Covarian
     # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
     G = (weights[:, :, None] * Xaug[:, None, :]).reshape(data.n, -1)
     M = G.T @ G / data.n
-    r = data.Y - model.evaluate(data.X)
-    sigma2 = float(np.sum(r * r) / data.n)
+    sigma2 = empirical_norm(model, data)
     if np.linalg.cond(M) > _COND_LIMIT:
         warnings.warn("singular moment matrix; using pseudo-inverse")
         Minv = np.linalg.pinv(M)

@@ -97,24 +97,20 @@ class SmoothedLeastSquares:
         return np.concatenate(blocks)
 
 
-def _kernel(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> SmoothedLeastSquares:
+def _kernel(model: PwaModel, spec: SmoothingSpec | None, data: Dataset) -> SmoothedLeastSquares:
     if model.d != data.d:
         raise ValueError("model and data dimensions disagree")
-    return SmoothedLeastSquares(data.X, data.Y, model.k1, model.k2, spec.prox, spec.mu)
+    prox, mu = (spec.prox, spec.mu) if spec is not None else (Prox.SQUARED_ERROR, 0.0)
+    return SmoothedLeastSquares(data.X, data.Y, model.k1, model.k2, prox, mu)
 
 
 def least_squares(model: PwaModel, spec: SmoothingSpec | None, data: Dataset) -> float:
     """Mean squared residual of the smoothed model.
 
-    ``spec=None`` evaluates the unsmoothed criterion (exact max-affine
-    evaluation); this path has no gradient.
+    ``spec=None`` evaluates the unsmoothed criterion, the ``mu = 0`` case
+    of the same kernel (exact maxima); it has no gradient.
     """
-    if spec is not None:
-        return _kernel(model, spec, data).value(pack(model))
-    if model.d != data.d:
-        raise ValueError("model and data dimensions disagree")
-    r = data.Y - model.evaluate(data.X)
-    return float(np.mean(r * r))
+    return _kernel(model, spec, data).value(pack(model))
 
 
 def least_squares_gradient(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> np.ndarray:

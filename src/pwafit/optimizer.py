@@ -140,38 +140,23 @@ def _default_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(index))))
 
 
-class _Problem:
-    """Maps between the optimizer vector and the model.
-
-    For ``k2 = 0`` the trivial zero part is pinned and only part1's
-    coefficients are optimized.
-    """
-
-    def __init__(self, data: Dataset, k1: int, k2: int, prox: Prox):
-        if k1 < 1 or k2 < 0:
-            raise ValueError("k1 must be >= 1 and k2 >= 0")
-        self.data = data
-        self.k1 = k1
-        self.k2 = k2
-        self.prox = Prox(prox)
-        self.n_free = (k1 + k2) * (data.d + 1)
-
-    def to_model(self, v_free: np.ndarray) -> PwaModel:
-        full = np.concatenate([v_free, np.zeros(self.data.d + 1)]) if self.k2 == 0 else v_free
-        return unpack(full, self.k1, max(self.k2, 1), self.data.d)
-
-    def objective(self, mu: float) -> SmoothedLeastSquares:
-        return SmoothedLeastSquares(self.data.X, self.data.Y, self.k1, self.k2, self.prox, mu)
+def _free_size(data: Dataset, k1: int, k2: int) -> int:
+    """Length of the optimized vector; ``k2 = 0`` pins part2 to the zero
+    part and leaves it out."""
+    if k1 < 1 or k2 < 0:
+        raise ValueError("k1 must be >= 1 and k2 >= 0")
+    return (k1 + k2) * (data.d + 1)
 
 
-def _make_result(problem: _Problem, v_free, trace, restarts, converged, mu_target) -> FitResult:
-    model = problem.to_model(np.asarray(v_free, dtype=float)).normalize()
-    spec = SmoothingSpec(problem.prox, mu_target)
+def _make_result(data, k1, k2, spec, v_free, trace, restarts, converged) -> FitResult:
+    v = np.asarray(v_free, dtype=float)
+    full = np.concatenate([v, np.zeros(data.d + 1)]) if k2 == 0 else v
+    model = unpack(full, k1, max(k2, 1), data.d).normalize()
     return FitResult(
         theta_hat=pack(model),
         model=model,
-        objective_value=least_squares(model, spec, problem.data),
-        empirical_norm=empirical_norm(model, problem.data),
+        objective_value=least_squares(model, spec, data),
+        empirical_norm=empirical_norm(model, data),
         anneal_trace=list(trace),
         restarts_used=restarts,
         converged=converged,
@@ -193,19 +178,21 @@ def fit(
     times; if all attempts fail the best incumbent is returned with
     ``converged=False``.
     """
-    problem = _Problem(data, k1, k2, Prox(prox))
+    spec = SmoothingSpec(prox, config.mu_target)
+    n_free = _free_size(data, k1, k2)
     if rng is None:
         rng = _default_rng(config.seed)
     stages = anneal_schedule(config.mu_target)
     r = config.init_radius
     best: FitResult | None = None
     for attempt in range(config.max_restarts + 1):
-        v = rng.uniform(-r, r, problem.n_free)
+        v = rng.uniform(-r, r, n_free)
         trace: list[tuple[float, float, int]] = []
         failed = False
         for mu_m in stages:
+            objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, spec.prox, mu_m)
             v_new, f_new, status, steps, _ = _bfgs(
-                problem.objective(mu_m), v, config.tolerance, config.max_newton_steps
+                objective, v, config.tolerance, config.max_newton_steps
             )
             if status != "converged":
                 failed = True
@@ -214,14 +201,14 @@ def fit(
             v = v_new
             trace.append((mu_m, f_new, steps))
         if not failed:
-            return _make_result(problem, v, trace, attempt, True, config.mu_target)
+            return _make_result(data, k1, k2, spec, v, trace, attempt, True)
         if np.all(np.isfinite(v)) and np.max(np.abs(v)) <= _BOX_LIMIT:
-            candidate = _make_result(problem, v, trace, attempt, False, config.mu_target)
+            candidate = _make_result(data, k1, k2, spec, v, trace, attempt, False)
             if best is None or candidate.empirical_norm < best.empirical_norm:
                 best = candidate
     if best is None:
-        zero = np.zeros(problem.n_free)
-        best = _make_result(problem, zero, [], config.max_restarts, False, config.mu_target)
+        zero = np.zeros(n_free)
+        best = _make_result(data, k1, k2, spec, zero, [], config.max_restarts, False)
     best.restarts_used = config.max_restarts
     return best
 
@@ -262,28 +249,24 @@ def nelder_mead_fit(
     rng: np.random.Generator | None = None,
 ) -> FitResult:
     """Gradient-free baseline: Nelder-Mead on the unsmoothed criterion."""
-    problem = _Problem(data, k1, k2, Prox.SQUARED_ERROR)
+    n_free = _free_size(data, k1, k2)
     if rng is None:
         rng = _default_rng(config.seed)
     r = config.init_radius
-    x0 = rng.uniform(-r, r, problem.n_free)
-    simplex = np.vstack([x0, x0 + 0.1 * r * np.eye(problem.n_free)])
-
-    def fun(v):
-        return least_squares(problem.to_model(v), None, data)
-
+    x0 = rng.uniform(-r, r, n_free)
+    simplex = np.vstack([x0, x0 + 0.1 * r * np.eye(n_free)])
+    # the unsmoothed criterion is the mu = 0 case of the kernel
+    objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, Prox.SQUARED_ERROR, 0.0)
     res = minimize(
-        fun,
+        objective.value,
         x0,
         method="Nelder-Mead",
         options={
             "initial_simplex": simplex,
-            "maxiter": 400 * problem.n_free,
-            "maxfev": 400 * problem.n_free,
+            "maxiter": 400 * n_free,
+            "maxfev": 400 * n_free,
             "xatol": config.tolerance,
             "fatol": config.tolerance**2,
         },
     )
-    result = _make_result(problem, res.x, [], 0, bool(res.success), config.mu_target)
-    result.objective_value = result.empirical_norm
-    return result
+    return _make_result(data, k1, k2, None, res.x, [], 0, bool(res.success))

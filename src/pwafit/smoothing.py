@@ -73,8 +73,15 @@ def project_simplex(c) -> np.ndarray:
 def smooth_max(Z: np.ndarray, prox: Prox, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed row maxima of the piece values ``Z`` (n x k) and the
     maximizing simplex weights (softmax for entropy, projection for sqerr).
+
+    ``mu = 0`` is the unsmoothed limit for either prox: the exact row
+    maxima and one-hot weights on the maximizing piece, ties going to the
+    lowest index as in ``argmax``.
     """
     k = Z.shape[1]
+    if mu == 0.0:
+        rows, idx = np.arange(Z.shape[0]), Z.argmax(axis=1)
+        return Z[rows, idx], np.eye(k)[idx]
     if prox == Prox.ENTROPY:
         # subtract the row max before exponentiating; mandatory for small mu
         zmax = Z.max(axis=1, keepdims=True)

@@ -193,9 +193,23 @@ def run_ci(tmp_path, model, level=0.95):
 
 
 def test_ci_bad_level_exits_2(tmp_path, capsys):
-    code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, 0.0]]), level=1.5)
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    # a valid model, and the empty-piece model that exits 3 at a valid level
+    for i, coeffs in enumerate([[[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [-1.0, -10.0]]]):
+        (tmp_path / str(i)).mkdir()
+        code, out = run_ci(tmp_path / str(i), convex_model(coeffs), level=1.5)
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_ci_fit_json_without_model_exits_2(tmp_path, capsys):
+    data = tmp_path / "plane.csv"
+    write_plane_csv(data)
+    fit = tmp_path / "fit.json"
+    fit.write_text("{}")
+    out = tmp_path / "ci.json"
+    assert run("ci", "--in", data, "--fit", fit, "--out", out) == 2
+    assert "missing key 'model'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -259,9 +273,14 @@ def test_version_flag():
         ["compare", "--preset", "broken-stick-200", "--reps", 0, "--out", "{tmp}/compare.csv"],
         ["simulate", "--preset", "broken-stick-200", "--out", "{tmp}/missing/data.csv"],
         ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--pool", 1, "--out", "{tmp}/missing/f.json"],
+        [
+            "fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--pool", 1, "--out", "{tmp}/f.json",
+            "--fitted-csv", "{tmp}/missing/fitted.csv",
+        ],
     ],
     ids=[
-        "experiment-pool-0", "experiment-reps-0", "compare-reps-0", "simulate-no-dir", "fit-no-dir"
+        "experiment-pool-0", "experiment-reps-0", "compare-reps-0", "simulate-no-dir", "fit-no-dir",
+        "fit-csv-no-dir",
     ],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, argv):

@@ -206,3 +206,19 @@ def test_fit_pool_numbers_are_pinned(case, norm_repr, trace):
     res = fit_pool(data, k1, k2, prox, FitConfig(mu_target=mu, restarts_pool=pool, seed=seed))
     assert repr(res.empirical_norm) == norm_repr
     assert res.anneal_trace == trace
+
+
+# Nelder-Mead numbers recorded while its objective still rebuilt a model per
+# evaluation (same platform as above); the mu = 0 kernel must reproduce them.
+@pytest.mark.parametrize(
+    "name,seed,k2,pool,norm_repr",
+    [
+        ("broken-stick-200", 7, 0, 3, "0.010697967683770874"),
+        ("planes-d2", 3, 1, 2, "0.010654901904977278"),
+    ],
+)
+def test_nelder_mead_numbers_are_pinned(name, seed, k2, pool, norm_repr):
+    data = generate(preset(name, seed=seed))
+    cfg = FitConfig(restarts_pool=pool, seed=seed)
+    res = fit_pool(data, 2, k2, "sqerr", cfg, method="nelder-mead")
+    assert repr(empirical_norm(res.model, data)) == norm_repr

@@ -176,11 +176,25 @@ def test_sandwich_bound(k, seed):
     X = rng.uniform(-2, 2, (30, 3))
     exact = f.evaluate(X)
     for prox in Prox:
-        for mu in (1.0, 0.1, 0.01, 1e-4):
+        for mu in (1.0, 0.1, 0.01, 1e-4, 0.0):
             smoothed, _ = smooth_max(f.piece_values(X), prox, mu)
             gap = exact - smoothed
-            assert np.all(gap >= -1e-10)
-            assert np.all(gap <= mu * rho_max(prox, k) + 1e-10)
+            slack = 1e-10 if mu else 0.0
+            assert np.all(gap >= -slack)
+            assert np.all(gap <= mu * rho_max(prox, k) + slack)
+
+
+def test_mu_zero_is_exact_max_with_one_hot_weights():
+    rng = np.random.default_rng(5)
+    Z = np.vstack([rng.uniform(-1, 1, (20, 3)), [[0.5, 0.5, -1.0]]])
+    for prox in Prox:
+        vals, W = smooth_max(Z, prox, 0.0)
+        assert np.array_equal(vals, Z.max(axis=1))
+        assert np.array_equal(W, np.eye(3)[Z.argmax(axis=1)])
+        assert np.array_equal(W[-1], [1.0, 0.0, 0.0])
+        # |x| at the kink: both pieces attain the max, the first one wins
+        _, W0 = smooth_max(ABS.piece_values([[0.0]]), prox, 0.0)
+        assert np.array_equal(W0, [[1.0, 0.0]])
 
 
 def test_entropy_monotone_in_mu():
