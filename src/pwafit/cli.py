@@ -129,7 +129,10 @@ def _cmd_ci(args):
     data = dataset_from_csv(args.infile)
     with open(args.fit) as fh:
         fit_obj = json.load(fh)
-    model = model_from_json_dict(fit_obj["model"])
+    model_obj = fit_obj["model"] if isinstance(fit_obj, dict) else None
+    if not isinstance(model_obj, dict):
+        raise ValueError("the fit JSON must be an object whose 'model' entry is an object")
+    model = model_from_json_dict(model_obj)
     theta = line_parameters(model)
     try:
         cov = plugin_covariance(model, data)

@@ -61,6 +61,8 @@ class SmoothedLeastSquares:
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, k1: int, k2: int, prox: Prox, mu: float):
         self.X, self.Y = X, Y
+        # piece values are formed piece-major, (k, n), from one contiguous X'
+        self.XT = np.ascontiguousarray(X.T)
         self.k1, self.k2, self.d = k1, k2, X.shape[1]
         self.prox, self.mu = prox, mu
         self._cache = None
@@ -68,8 +70,11 @@ class SmoothedLeastSquares:
     def _part(self, theta, offset, k):
         d = self.d
         A = theta[offset : offset + k * d].reshape(k, d)
-        Z = self.X @ A.T + theta[offset + k * d : offset + k * (d + 1)]
-        return smooth_max(Z, self.prox, self.mu)
+        # numpy hands a one-row product to a matrix-vector routine that sums
+        # over d in another order; X @ A.T keeps the (n, k) kernel's bits
+        Zt = (self.X @ A.T).T if k == 1 else A @ self.XT
+        Zt = Zt + theta[offset + k * d : offset + k * (d + 1), None]
+        return smooth_max(Zt.T, self.prox, self.mu)
 
     def value(self, theta: np.ndarray) -> float:
         """Mean squared residual of the smoothed model at ``theta``."""
@@ -91,8 +96,13 @@ class SmoothedLeastSquares:
         W1, W2, r = self._cache
         X = self.X
         scale = -2.0 / X.shape[0]
+        # W is the (n, k) view of a piece-major buffer.  The BLAS products
+        # sum in a layout-dependent order, so an (n, k)-ordered copy keeps
+        # the gradient bit-identical to that of an (n, k) kernel.
+        W1 = np.ascontiguousarray(W1)
         blocks = [(scale * (W1 * r[:, None]).T @ X).ravel(), scale * (W1.T @ r)]
         if W2 is not None:
+            W2 = np.ascontiguousarray(W2)
             blocks += [(-scale * (W2 * r[:, None]).T @ X).ravel(), -scale * (W2.T @ r)]
         return np.concatenate(blocks)
 

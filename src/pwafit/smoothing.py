@@ -56,17 +56,26 @@ def project_simplex(c) -> np.ndarray:
     sorted in decreasing order ``u``, the threshold is the largest of
     ``(u_1 + ... + u_j - 1) / j`` over ``j`` (Duchi et al., ICML 2008;
     Condat, Math. Program. 2016).
+
+    The work runs on the piece-major view ``c.T``, one row per coordinate,
+    so every reduction runs over k long rows.  A caller holding the values
+    as a contiguous ``(k, n)`` array ``Ct`` passes ``Ct.T``, which costs no
+    copy; the result is then the ``.T`` view of a ``(k, n)`` array.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("input must be finite")
     single = c.ndim == 1
-    V = c[None, :] if single else c
-    k = V.shape[1]
-    # one row per rank, so the cumulative sum and the max run over k long rows
-    U = np.ascontiguousarray(np.sort(V, axis=1).T[::-1])
-    lam = ((np.cumsum(U, axis=0) - 1.0) / np.arange(1, k + 1)[:, None]).max(axis=0)
-    w = np.maximum(V - lam[:, None], 0.0)
+    V = (c[None, :] if single else c).T
+    k = V.shape[0]
+    if k == 2:
+        # the sort of two rows; the cumulative sums add in the same order
+        hi, lo = np.maximum(V[0], V[1]), np.minimum(V[0], V[1])
+        lam = np.maximum(hi - 1.0, (hi + lo - 1.0) / 2.0)
+    else:
+        U = np.sort(V, axis=0)[::-1]
+        lam = np.maximum.reduce((np.cumsum(U, axis=0) - 1.0) / np.arange(1, k + 1)[:, None], axis=0)
+    w = np.maximum(V - lam, 0.0).T
     return w[0] if single else w
 
 
@@ -77,21 +86,25 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float) -> tuple[np.ndarray, np.nda
     ``mu = 0`` is the unsmoothed limit for either prox: the exact row
     maxima and one-hot weights on the maximizing piece, ties going to the
     lowest index as in ``argmax``.
+
+    For ``mu > 0`` the work runs on the piece-major view ``Z.T``, so each
+    reduction over pieces combines k long rows.  A caller holding the
+    values as a contiguous ``(k, n)`` array ``Zt`` passes ``Zt.T``, which
+    costs no copy; ``W`` is then the ``.T`` view of a ``(k, n)`` array.
     """
     k = Z.shape[1]
     if mu == 0.0:
         rows, idx = np.arange(Z.shape[0]), Z.argmax(axis=1)
         return Z[rows, idx], np.eye(k)[idx]
+    Zt = Z.T
     if prox == Prox.ENTROPY:
-        # subtract the row max before exponentiating; mandatory for small mu
-        zmax = Z.max(axis=1, keepdims=True)
-        E = np.exp((Z - zmax) / mu)
-        S = E.sum(axis=1, keepdims=True)
-        W = E / S
-        vals = zmax[:, 0] + mu * (np.log(S[:, 0]) - np.log(k))
-        return vals, W
-    C = Z / mu - 1.0 / k
-    W = project_simplex(C)
-    rho = 0.5 * np.sum((W - 1.0 / k) ** 2, axis=1)
-    vals = np.sum(W * Z, axis=1) - mu * rho
-    return vals, W
+        # subtract the max before exponentiating; mandatory for small mu
+        zmax = np.maximum.reduce(Zt, axis=0)
+        E = np.exp((Zt - zmax) / mu)
+        S = np.add.reduce(E, axis=0)
+        vals = zmax + mu * (np.log(S) - np.log(k))
+        return vals, (E / S).T
+    Wt = project_simplex((Zt / mu - 1.0 / k).T).T
+    rho = 0.5 * np.add.reduce((Wt - 1.0 / k) ** 2, axis=0)
+    vals = np.add.reduce(Wt * Zt, axis=0) - mu * rho
+    return vals, Wt.T

@@ -213,6 +213,19 @@ def test_ci_fit_json_without_model_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload", ['[]', '"x"', '{"model": "x"}', '{"model": []}'])
+def test_ci_fit_json_of_wrong_shape_exits_2(tmp_path, capsys, payload):
+    data = tmp_path / "plane.csv"
+    write_plane_csv(data)
+    fit = tmp_path / "fit.json"
+    fit.write_text(payload)
+    out = tmp_path / "ci.json"
+    assert run("ci", "--in", data, "--fit", fit, "--out", out) == 2
+    assert "error: the fit JSON must be an object" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "ci.json.manifest.json").exists()
+
+
 def test_ci_non_two_piece_fit_exits_2(tmp_path, capsys):
     # the shape of a --k1 3 --k2 1 fit
     model = PwaModel(

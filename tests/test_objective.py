@@ -11,6 +11,7 @@ from pwafit.objective import (
     least_squares,
     least_squares_gradient,
 )
+from pwafit.simulate import generate, preset
 from pwafit.smoothing import Prox, SmoothingSpec, rho_max, smooth_max
 
 
@@ -191,6 +192,31 @@ def test_kernel_matches_public_api_and_finite_differences(prox, k1, k2, d):
         [(kernel.value(theta + h * e) - kernel.value(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
     )
     assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10) < 1e-5
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+@pytest.mark.parametrize("k2", [0, 1, 2])
+def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
+    # the kernel forms piece values and weights piece-major; its value and
+    # gradient must still carry the bits of the products over (n, k) arrays
+    data = generate(preset("planes-d4", seed=3))
+    X, Y, d = data.X, data.Y, data.d
+    theta = np.random.default_rng(4).uniform(-1, 1, (2 + k2) * (d + 1))
+    kernel = SmoothedLeastSquares(X, Y, 2, k2, prox, 0.05)
+    value = kernel.value(theta)
+    parts, offset = [], 0
+    for k, sign in ((2, 1.0), (k2, -1.0)):
+        if k:
+            A = theta[offset : offset + k * d].reshape(k, d)
+            vals, W = smooth_max(X @ A.T + theta[offset + k * d : offset + k * (d + 1)], prox, 0.05)
+            parts.append((vals, np.ascontiguousarray(W), sign * -2.0 / data.n))
+            offset += k * (d + 1)
+    r = Y - (parts[0][0] - parts[1][0] if k2 else parts[0][0])
+    want = np.concatenate(
+        [g for _, W, s in parts for g in ((s * (W * r[:, None]).T @ X).ravel(), s * (W.T @ r))]
+    )
+    assert value == np.mean(r * r)
+    assert np.array_equal(kernel.gradient(), want)
 
 
 def test_kernel_gradient_follows_last_value_call():

@@ -196,6 +196,15 @@ PINNED_FITS = [
          (0.4, 0.010792100464343334, 14), (0.2, 0.010668252314700675, 13),
          (0.1, 0.01065467948265263, 10)],
     ),
+    # n = 10^4, where the kernel products run through BLAS; recorded with the
+    # (n, k) kernel, before the piece values became piece-major
+    (
+        ("planes-d4", 3, 2, 0, "sqerr", 0.1, 2),
+        "0.010550290408073619",
+        [(1.6, 0.0158481370117119, 33), (0.8, 0.01148953749489831, 17),
+         (0.4, 0.010226578067342394, 13), (0.2, 0.00999184271001675, 7),
+         (0.1, 0.009951669709474897, 13)],
+    ),
 ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pwafit.model import MaxAffine, PwaModel, zero_part
 from pwafit.smoothing import Prox, SmoothingSpec, project_simplex, rho_max, smooth_max
@@ -134,6 +135,34 @@ def test_project_simplex_matches_active_set_enumeration(k, seed):
     got = project_simplex(C)
     want = brute_force_project(C)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def sort_and_threshold(C: np.ndarray) -> np.ndarray:
+    """Row-wise simplex projection of a batch through a full sort of each row."""
+    U = np.sort(C, axis=1)[:, ::-1]
+    lam = ((np.cumsum(U, axis=1) - 1.0) / np.arange(1, C.shape[1] + 1)).max(axis=1)
+    return np.maximum(C - lam[:, None], 0.0)
+
+
+@given(arrays(float, st.tuples(st.integers(1, 40), st.just(2)),
+              elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5, 1.0])))
+@settings(max_examples=200, deadline=None)
+def test_project_simplex_two_pieces_is_bit_equal_to_sort_and_threshold(C):
+    # k = 2 takes a max/min pair in place of the sort
+    assert np.array_equal(project_simplex(C), sort_and_threshold(C))
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+@pytest.mark.parametrize("k", [2, 3])
+def test_smooth_max_same_bits_for_piece_major_input(prox, mu, k):
+    Z = np.random.default_rng(k).uniform(-1, 1, (500, k))
+    Z[::5, 1] = Z[::5, 0]  # ties
+    Zt = np.ascontiguousarray(Z.T)
+    vals, W = smooth_max(Z, prox, mu)
+    vals_t, W_t = smooth_max(Zt.T, prox, mu)
+    assert np.array_equal(vals, vals_t)
+    assert np.array_equal(W, W_t)
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
