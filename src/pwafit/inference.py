@@ -16,7 +16,7 @@ from scipy.stats import norm
 from .model import MaxAffine, PwaModel
 from .objective import Dataset, empirical_norm
 from .optimizer import FitResult
-from .smoothing import SmoothingSpec, smooth_max
+from .smoothing import SmoothingSpec, _first_max, smooth_max
 
 __all__ = [
     "CovarianceEstimate",
@@ -86,7 +86,7 @@ def piece_assignment(model: PwaModel, data: Dataset) -> np.ndarray:
     Ties go to the lower-indexed piece.
     """
     m = model.normalize()
-    return np.argmax(m.part1.piece_values(data.X), axis=1)
+    return _first_max(m.part1.piece_values(data.X).T)[1]
 
 
 def _covariance(model: PwaModel, data: Dataset, weights: np.ndarray) -> CovarianceEstimate:

@@ -3,8 +3,11 @@
 The target smoothing level ``mu`` is reached by halving from an initial
 value above one; each stage's BFGS run is warm-started from the previous
 optimum.  Non-convergence or numerical trouble restarts the whole
-schedule from a fresh random initial point.  A gradient-free Nelder-Mead
-baseline on the unsmoothed criterion is provided for comparisons.
+schedule from a fresh random initial point.  The members of a pool run in
+lockstep: one BFGS engine holds their stacked state and evaluates their
+points together, one stacked kernel call per round.  A gradient-free
+Nelder-Mead baseline on the unsmoothed criterion is provided for
+comparisons.
 """
 from __future__ import annotations
 
@@ -74,66 +77,224 @@ def anneal_schedule(mu: float) -> list[float]:
     return [(2.0 ** (m0 - m)) * mu for m in range(m0 + 1)]
 
 
-def _bfgs(objective, x0, tol, max_steps):
-    """Minimize with a self-contained BFGS (inverse-Hessian update, Armijo
-    backtracking).
+_MAX_BACKTRACKS = 60
 
-    ``objective.value(x)`` returns the objective at ``x``;
-    ``objective.gradient()`` returns the gradient at the point of the last
-    ``value`` call, so gradients are formed only at accepted points.
-    Returns ``(x, f, status, steps, history)`` with status one of
-    ``"converged"``, ``"maxiter"``, ``"instability"``.  ``history`` is the
-    sequence of accepted objective values (non-increasing).
+
+class _LockstepBfgs:
+    """BFGS runs of several members advanced in lockstep (inverse-Hessian
+    update, Armijo backtracking).
+
+    Each round every running member submits one point: its start point or
+    its next Armijo trial.  ``value(members, points)`` evaluates up to
+    ``per_call`` of them as one ``(len(members), m)`` stack;
+    ``gradient(rows)`` then returns the gradients at the given rows of that
+    stack, so gradients are formed only at start and accepted points, while
+    the stack's values are still in cache.  Every member keeps its own
+    iterate, inverse Hessian, Armijo step, step count and status, so it
+    takes exactly the steps it would take alone.
+
+    The state holds one row per running member, in member order; a member
+    whose run ended and that is not started again leaves it next round.
     """
-    x = np.array(x0, dtype=float)
-    f = objective.value(x)
-    g = objective.gradient()
-    history = [f]
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return x, f, "instability", 0, history
-    n = x.size
-    H = np.eye(n)
-    for step in range(1, max_steps + 1):
-        if np.max(np.abs(g)) < tol:
-            return x, f, "converged", step - 1, history
-        p = -H @ g
-        gp = float(g @ p)
-        if not np.isfinite(gp) or gp >= 0.0:
-            H = np.eye(n)
-            p = -g
-            gp = -float(g @ g)
-        t = 1.0
-        accepted = False
-        for _ in range(60):
-            xn = x + t * p
-            fn = objective.value(xn)
-            if np.isfinite(fn) and fn <= f + 1e-4 * t * gp:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+
+    _ROW_STATE = ("ids", "x", "trial", "tp", "g", "p", "H", "f", "gp", "t", "backtracks",
+                  "step", "starting", "alive")
+
+    def __init__(self, members: int, size: int, tol: float, max_steps: int, per_call: int):
+        self.tol, self.max_steps, self.per_call = tol, max_steps, per_call
+        self.ids = np.arange(members)
+        self.x = np.zeros((members, size))
+        self.trial = np.zeros((members, size))
+        self.tp = np.zeros((members, size))  # the step t * p that led to trial
+        self.g = np.zeros((members, size))
+        self.p = np.zeros((members, size))
+        self.H = np.zeros((members, size, size))
+        self.f = np.zeros(members)
+        self.gp = np.zeros(members)
+        self.t = np.ones(members)
+        self.backtracks = np.zeros(members, dtype=int)
+        self.step = np.zeros(members, dtype=int)
+        self.starting = np.zeros(members, dtype=bool)
+        self.alive = np.zeros(members, dtype=bool)
+        self._ended: list[tuple[int, np.ndarray, float, str, int]] = []
+
+    @property
+    def running(self) -> bool:
+        return bool(_count(self.alive))
+
+    def start(self, i: int, x0: np.ndarray) -> None:
+        """Begin a run of member ``i`` from ``x0``; ``i`` must still hold a
+        row, so a member is started again in the round its run ended."""
+        row = int(np.searchsorted(self.ids, i))
+        self.trial[row] = x0
+        self.starting[row] = self.alive[row] = True
+
+    def round(self, value, gradient) -> list[tuple[int, np.ndarray, float, str, int]]:
+        """Advance every running member by one evaluation.
+
+        Returns the runs that ended, as ``(member, x, f, status, steps)`` with
+        status one of ``"converged"``, ``"maxiter"``, ``"instability"``.
+        """
+        if _count(self.alive) < self.ids.size:
+            keep = self.alive
+            for name in self._ROW_STATE:
+                setattr(self, name, getattr(self, name)[keep])
+        self._ended = []
+        calls = []
+        for lo in range(0, self.ids.size, self.per_call):
+            rows = slice(lo, lo + self.per_call)
+            ft = value(self.ids[rows], self.trial[rows])
+            armijo = np.isfinite(ft) & (ft <= self.f[rows] + 1e-4 * self.t[rows] * self.gp[rows])
+            accepted = self.starting[rows] | armijo
+            G = gradient(accepted.nonzero()[0]) if _count(accepted) else None
+            calls.append((ft, accepted, G))
+        if len(calls) == 1:
+            ft, accepted, G = calls[0]
+        else:
+            ft = np.concatenate([c[0] for c in calls])
+            accepted = np.concatenate([c[1] for c in calls])
+            grads = [c[2] for c in calls if c[2] is not None]
+            G = np.concatenate(grads) if grads else None
+        n_acc = _count(accepted)
+        if n_acc < accepted.size:
+            self._reject((~accepted).nonzero()[0])
+        if n_acc:
+            if _count(self.starting):
+                starting = self.starting.copy()
+                st = starting[accepted]
+                self._begin(starting.nonzero()[0], ft[starting], G[st])
+                G, accepted = G[~st], accepted & ~starting
+                n_acc = G.shape[0]
+            if n_acc == accepted.size:
+                self._accept(slice(None), ft, G)
+            elif n_acc:
+                self._accept(accepted.nonzero()[0], ft[accepted], G)
+        # the next trial of every running member; a new direction has t = 1
+        self.tp = self.t[:, None] * self.p
+        self.trial = self.x + self.tp
+        return self._ended
+
+    def _end(self, rows, status: str, steps) -> None:
+        rows = np.arange(self.ids.size)[rows]
+        for row, n in zip(rows, np.broadcast_to(steps, rows.shape)):
+            member, x, f = int(self.ids[row]), self.x[row].copy(), float(self.f[row])
+            self._ended.append((member, x, f, status, int(n)))
+        self.alive[rows] = False
+
+    def _begin(self, rows, f0, g0) -> None:
+        """First evaluation of a run: its start point is its first iterate."""
+        self.starting[rows] = False
+        self.x[rows], self.f[rows], self.g[rows] = self.trial[rows], f0, g0
+        gmax = np.maximum.reduce(np.abs(g0), axis=1)
+        ok = np.isfinite(f0) & (gmax < np.inf)
+        if _count(ok) < ok.size:
+            self._end(rows[~ok], "instability", 0)
+            rows, g0, gmax = rows[ok], g0[ok], gmax[ok]
+        self.H[rows] = np.eye(self.x.shape[1])
+        self.step[rows] = 1
+        self._direction(rows, g0, self.H[rows], gmax)
+
+    def _accept(self, rows, fn, gn) -> None:
+        """Accepted trial points: the runaway test, the inverse-Hessian
+        update, and the convergence and step-limit tests."""
+        xn = self.trial[rows]
+        gmax = np.maximum.reduce(np.abs(gn), axis=1)
+        absx = np.abs(xn)
+        if not (np.maximum.reduce(gmax) < np.inf and np.maximum.reduce(absx, axis=None) <= _BOX_LIMIT):
+            bad = ~(gmax < np.inf) | (np.maximum.reduce(absx, axis=1) > _BOX_LIMIT)
+            worse = _sub(rows, bad)
+            self.x[worse], self.f[worse] = xn[bad], fn[bad]
+            self._end(worse, "instability", self.step[worse])
+            ok = ~bad
+            rows, fn, gn, xn, gmax = _sub(rows, ok), fn[ok], gn[ok], xn[ok], gmax[ok]
+        H = self.H[rows]
+        s = self.tp[rows]
+        y = gn - self.g[rows]
+        # s'y, s's and y'y in one stacked product
+        sy, ss, yy = _dots(np.concatenate([s, s, y]), np.concatenate([y, s, y])).reshape(3, -1)
+        update = sy > 1e-12 * (np.sqrt(ss) * np.sqrt(yy) + 1e-300)
+        n_up = _count(update)
+        if n_up:
+            if n_up == update.size:
+                Hu, su, yu, rho = H, s, y, 1.0 / sy
+            else:
+                Hu, su, yu, rho = H[update], s[update], y[update], 1.0 / sy[update]
+            Hy = (Hu @ yu[:, :, None])[:, :, 0]
+            c = rho * (rho * _dots(yu, Hy) + 1.0)
+            sHy = su[:, :, None] * Hy[:, None, :]
+            # H <- (I - rho s y')H(I - rho y s') + rho s s'
+            Hu = (
+                Hu
+                - rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1))
+                + c[:, None, None] * (su[:, :, None] * su[:, None, :])
+            )
+            if n_up == update.size:
+                H = Hu
+            else:
+                H[update] = Hu
+            self.H[rows] = H
+        self.x[rows], self.f[rows], self.g[rows] = xn, fn, gn
+        steps = self.step[rows]
+        conv = np.maximum(gmax, np.maximum.reduce(np.abs(s), axis=1)) < self.tol
+        stop = conv | (steps >= self.max_steps)
+        if _count(stop):
+            maxed = stop & ~conv
+            self._end(_sub(rows, conv), "converged", steps[conv])
+            self._end(_sub(rows, maxed), "maxiter", steps[maxed])
+            go = ~stop
+            rows, gn, H, gmax = _sub(rows, go), gn[go], H[go], gmax[go]
+        self.step[rows] += 1
+        self._direction(rows, gn, H, gmax)
+
+    def _reject(self, rows) -> None:
+        """Rejected trial points: halve the step, or give up after the last."""
+        self.t[rows] *= 0.5
+        backtracks = self.backtracks[rows] + 1
+        self.backtracks[rows] = backtracks
+        out = backtracks >= _MAX_BACKTRACKS
+        if _count(out):
             # no descent possible along p; a near-zero gradient means we are done
-            if np.max(np.abs(g)) < math.sqrt(tol):
-                return x, f, "converged", step, history
-            return x, f, "instability", step, history
-        gn = objective.gradient()
-        if np.max(np.abs(xn)) > _BOX_LIMIT or not np.all(np.isfinite(gn)):
-            return xn, fn, "instability", step, history
-        s = t * p
-        y = gn - g
-        sy = float(s @ y)
-        if sy > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            rho = 1.0 / sy
-            Hy = H @ y
-            # BFGS inverse update: H <- (I - rho s y')H(I - rho y s') + rho s s'
-            H = H - rho * (np.outer(s, Hy) + np.outer(Hy, s)) + rho * (
-                rho * float(y @ Hy) + 1.0
-            ) * np.outer(s, s)
-        history.append(fn)
-        if max(np.max(np.abs(gn)), np.max(np.abs(s))) < tol:
-            return xn, fn, "converged", step, history
-        x, f, g = xn, fn, gn
-    return x, f, "maxiter", max_steps, history
+            ro = rows[out]
+            flat = np.maximum.reduce(np.abs(self.g[ro]), axis=1) < math.sqrt(self.tol)
+            self._end(ro[flat], "converged", self.step[ro[flat]])
+            self._end(ro[~flat], "instability", self.step[ro[~flat]])
+
+    def _direction(self, rows, g, H, gmax) -> None:
+        """The head of a BFGS step at gradients ``g`` with inverse Hessians
+        ``H`` and ``max|g|``: stop on a small gradient, else take the
+        quasi-Newton direction (steepest descent if it is not a descent
+        direction) with a unit step."""
+        conv = gmax < self.tol
+        if _count(conv):
+            done = _sub(rows, conv)
+            self._end(done, "converged", self.step[done] - 1)
+            go = ~conv
+            rows, g, H = _sub(rows, go), g[go], H[go]
+        p = (-H @ g[:, :, None])[:, :, 0]
+        gp = _dots(g, p)
+        reset = ~np.isfinite(gp) | (gp >= 0.0)
+        if _count(reset):
+            self.H[_sub(rows, reset)] = np.eye(self.x.shape[1])
+            p[reset] = -g[reset]
+            gp[reset] = -_dots(g[reset], g[reset])
+        self.p[rows], self.gp[rows] = p, gp
+        self.t[rows], self.backtracks[rows] = 1.0, 0
+
+
+_count = np.count_nonzero
+
+
+def _sub(rows, mask: np.ndarray):
+    """The rows of ``rows`` (a slice over all rows, or an index array) where
+    ``mask`` holds."""
+    if _count(mask) == mask.size:
+        return rows
+    return mask.nonzero()[0] if isinstance(rows, slice) else rows[mask]
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each summed as ``a[i] @ b[i]`` sums it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _default_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -163,6 +324,89 @@ def _make_result(data, k1, k2, spec, v_free, trace, restarts, converged) -> FitR
     )
 
 
+@dataclass
+class _Member:
+    """Anneal state of one pool member: its rng, attempt, stage, the start
+    point of its current stage and its best failed attempt."""
+
+    rng: np.random.Generator
+    attempt: int = 0
+    stage: int = 0
+    v: np.ndarray | None = None
+    trace: list[tuple[float, float, int]] = field(default_factory=list)
+    best: FitResult | None = None
+    result: FitResult | None = None
+
+
+def _anneal(
+    data: Dataset,
+    k1: int,
+    k2: int,
+    spec: SmoothingSpec,
+    config: FitConfig,
+    rngs: list[np.random.Generator],
+) -> list[FitResult]:
+    """Annealed fits of a pool, one member per rng, run in lockstep.
+
+    Each member anneals ``mu`` down the schedule of ``spec.mu`` and restarts
+    the schedule from a fresh draw of its own rng on failure; its stage runs
+    share one BFGS engine and one stacked kernel call per round with the
+    other members, at whatever stage each member is.  Member ``i``'s result
+    is the one a pool of one with rng ``rngs[i]`` gives.
+    """
+    n_free = _free_size(data, k1, k2)
+    stages = anneal_schedule(spec.mu)
+    kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, spec.prox)
+    bfgs = _LockstepBfgs(
+        len(rngs), n_free, config.tolerance, config.max_newton_steps, kernel.members_per_call
+    )
+    members = [_Member(rng) for rng in rngs]
+    mu = np.empty(len(rngs))
+    r = config.init_radius
+
+    def begin_attempt(i: int) -> None:
+        m = members[i]
+        m.v, m.trace, m.stage = m.rng.uniform(-r, r, n_free), [], 0
+        begin_stage(i)
+
+    def begin_stage(i: int) -> None:
+        mu[i] = stages[members[i].stage]
+        bfgs.start(i, members[i].v)
+
+    def value(idx: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return kernel.value(points, mu[idx])
+
+    for i in range(len(members)):
+        begin_attempt(i)
+    while bfgs.running:
+        for i, x, f, status, steps in bfgs.round(value, kernel.gradient):
+            m = members[i]
+            if status == "converged":
+                m.v = x
+                m.trace.append((stages[m.stage], f, steps))
+                m.stage += 1
+                if m.stage < len(stages):
+                    begin_stage(i)
+                else:
+                    m.result = _make_result(data, k1, k2, spec, x, m.trace, m.attempt, True)
+                continue
+            v = x if np.all(np.isfinite(x)) else m.v
+            if np.all(np.isfinite(v)) and np.max(np.abs(v)) <= _BOX_LIMIT:
+                candidate = _make_result(data, k1, k2, spec, v, m.trace, m.attempt, False)
+                if m.best is None or candidate.empirical_norm < m.best.empirical_norm:
+                    m.best = candidate
+            m.attempt += 1
+            if m.attempt <= config.max_restarts:
+                begin_attempt(i)
+                continue
+            if m.best is None:
+                zero = np.zeros(n_free)
+                m.best = _make_result(data, k1, k2, spec, zero, [], config.max_restarts, False)
+            m.best.restarts_used = config.max_restarts
+            m.result = m.best
+    return [m.result for m in members]
+
+
 def fit(
     data: Dataset,
     k1: int,
@@ -171,46 +415,18 @@ def fit(
     config: FitConfig,
     rng: np.random.Generator | None = None,
 ) -> FitResult:
-    """Annealed quasi-Newton least-squares fit.
+    """Annealed quasi-Newton least-squares fit: a pool of one.
 
-    On non-convergence or numerical failure the whole annealing schedule
-    restarts from a fresh random point, up to ``config.max_restarts``
-    times; if all attempts fail the best incumbent is returned with
-    ``converged=False``.
+    ``mu`` is halved from above one down to ``config.mu_target``, each stage
+    a BFGS run warm-started at the previous optimum.  On non-convergence or
+    numerical failure the whole schedule restarts from a fresh random point
+    drawn from ``rng``, up to ``config.max_restarts`` times; if all attempts
+    fail the best incumbent is returned with ``converged=False``.
     """
     spec = SmoothingSpec(prox, config.mu_target)
-    n_free = _free_size(data, k1, k2)
     if rng is None:
         rng = _default_rng(config.seed)
-    stages = anneal_schedule(config.mu_target)
-    r = config.init_radius
-    best: FitResult | None = None
-    for attempt in range(config.max_restarts + 1):
-        v = rng.uniform(-r, r, n_free)
-        trace: list[tuple[float, float, int]] = []
-        failed = False
-        for mu_m in stages:
-            objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, spec.prox, mu_m)
-            v_new, f_new, status, steps, _ = _bfgs(
-                objective, v, config.tolerance, config.max_newton_steps
-            )
-            if status != "converged":
-                failed = True
-                v = v_new if np.all(np.isfinite(v_new)) else v
-                break
-            v = v_new
-            trace.append((mu_m, f_new, steps))
-        if not failed:
-            return _make_result(data, k1, k2, spec, v, trace, attempt, True)
-        if np.all(np.isfinite(v)) and np.max(np.abs(v)) <= _BOX_LIMIT:
-            candidate = _make_result(data, k1, k2, spec, v, trace, attempt, False)
-            if best is None or candidate.empirical_norm < best.empirical_norm:
-                best = candidate
-    if best is None:
-        zero = np.zeros(n_free)
-        best = _make_result(data, k1, k2, spec, zero, [], config.max_restarts, False)
-    best.restarts_used = config.max_restarts
-    return best
+    return _anneal(data, k1, k2, spec, config, [rng])[0]
 
 
 def fit_pool(
@@ -221,21 +437,22 @@ def fit_pool(
     config: FitConfig,
     method: str = "anneal",
 ) -> FitResult:
-    """Best-of-pool fit: run ``restarts_pool`` independent fits and keep the
-    one with the smallest empirical norm.
+    """Best-of-pool fit: ``restarts_pool`` independent fits, keeping the
+    converged one with the smallest empirical norm (the smallest overall if
+    none converged).
 
-    Pool members use seeds derived from ``config.seed``; a pool of one is
-    identical to a single :func:`fit`.
+    Member ``i`` draws from ``SeedSequence((config.seed, i))``.  The annealed
+    members run in lockstep, each with its own rng stream, Armijo steps and
+    restarts, so each member's numbers are those of :func:`fit` with its rng,
+    and a pool of one is a single :func:`fit`.
     """
-    results = []
-    for i in range(config.restarts_pool):
-        rng = _default_rng(config.seed, i)
-        if method == "anneal":
-            results.append(fit(data, k1, k2, prox, config, rng=rng))
-        elif method == "nelder-mead":
-            results.append(nelder_mead_fit(data, k1, k2, config, rng=rng))
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    rngs = [_default_rng(config.seed, i) for i in range(config.restarts_pool)]
+    if method == "anneal":
+        results = _anneal(data, k1, k2, SmoothingSpec(prox, config.mu_target), config, rngs)
+    elif method == "nelder-mead":
+        results = [nelder_mead_fit(data, k1, k2, config, rng=rng) for rng in rngs]
+    else:
+        raise ValueError(f"unknown method {method!r}")
     converged = [res for res in results if res.converged]
     candidates = converged if converged else results
     return min(candidates, key=lambda res: res.empirical_norm)
@@ -256,9 +473,9 @@ def nelder_mead_fit(
     x0 = rng.uniform(-r, r, n_free)
     simplex = np.vstack([x0, x0 + 0.1 * r * np.eye(n_free)])
     # the unsmoothed criterion is the mu = 0 case of the kernel
-    objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, Prox.SQUARED_ERROR, 0.0)
+    objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, Prox.SQUARED_ERROR)
     res = minimize(
-        objective.value,
+        lambda v: objective.value(v, 0.0),
         x0,
         method="Nelder-Mead",
         options={

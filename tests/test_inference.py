@@ -47,6 +47,17 @@ def test_piece_assignment_with_tie_to_first():
     assert assign.tolist() == [1, 0, 0]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_piece_assignment_is_argmax_of_piece_values(k):
+    # pieces 0 and 1 meet at x = 0 and piece 2 repeats piece 0, so there are
+    # ties, which go to the lowest index as in argmax
+    model = convex_model(np.array([[0.5, 0.0], [-1.0, 0.0], [0.5, 0.0]])[:k])
+    X = np.linspace(-1, 1, 41)
+    data = Dataset(X, np.zeros_like(X))
+    want = model.part1.piece_values(data.X).argmax(axis=1)
+    assert np.array_equal(piece_assignment(model, data), want)
+
+
 def test_plugin_moment_blocks_hand_computed():
     data = Dataset(np.array([0.5, 1.0, -0.5, -1.0]), np.abs([0.5, 1.0, -0.5, -1.0]))
     cov = plugin_covariance(ABS_MODEL, data)

@@ -181,15 +181,18 @@ def test_kernel_matches_public_api_and_finite_differences(prox, k1, k2, d):
     X = rng.uniform(-2, 2, (30, d))
     data = Dataset(X, model.evaluate(X) + 0.2 * rng.standard_normal(30))
     spec = SmoothingSpec(prox, 0.1)
-    kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox, 0.1)
-    value = kernel.value(theta)
+    kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox)
+    value = kernel.value(theta, 0.1)
     grad = kernel.gradient()
     assert grad.shape == theta.shape
     assert value == pytest.approx(least_squares(model, spec, data), abs=1e-12)
     assert np.allclose(grad, least_squares_gradient(model, spec, data)[: theta.size], rtol=0, atol=1e-12)
     h = 1e-6
     fd = np.array(
-        [(kernel.value(theta + h * e) - kernel.value(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
+        [
+            (kernel.value(theta + h * e, 0.1) - kernel.value(theta - h * e, 0.1)) / (2 * h)
+            for e in np.eye(theta.size)
+        ]
     )
     assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10) < 1e-5
 
@@ -202,8 +205,8 @@ def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
     data = generate(preset("planes-d4", seed=3))
     X, Y, d = data.X, data.Y, data.d
     theta = np.random.default_rng(4).uniform(-1, 1, (2 + k2) * (d + 1))
-    kernel = SmoothedLeastSquares(X, Y, 2, k2, prox, 0.05)
-    value = kernel.value(theta)
+    kernel = SmoothedLeastSquares(X, Y, 2, k2, prox)
+    value = kernel.value(theta, 0.05)
     parts, offset = [], 0
     for k, sign in ((2, 1.0), (k2, -1.0)):
         if k:
@@ -219,13 +222,35 @@ def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
     assert np.array_equal(kernel.gradient(), want)
 
 
+@pytest.mark.parametrize("prox", list(Prox))
+@pytest.mark.parametrize(
+    "name,k1,k2", [("broken-stick-200", 2, 0), ("planes-d2", 3, 1), ("planes-d4", 1, 1)]
+)
+def test_stacked_members_carry_their_one_member_bits(name, prox, k1, k2):
+    # a (P, m) stack with one mu per member: each member's value and gradient
+    # equal its one-member call, and gradient(rows) picks rows of the stack
+    data = generate(preset(name, seed=5))
+    m = (k1 + k2) * (data.d + 1)
+    thetas = np.random.default_rng(6).uniform(-1.5, 1.5, (5, m))
+    mus = np.array([1.6, 0.4, 0.05, 0.8, 0.01])
+    kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox)
+    values = kernel.value(thetas, mus)
+    grads = kernel.gradient()
+    assert values.shape == (5,) and grads.shape == (5, m)
+    rows = np.array([1, 3, 4])
+    assert np.array_equal(kernel.gradient(rows), grads[rows])
+    for theta, mu, value, grad in zip(thetas, mus, values, grads):
+        assert kernel.value(theta, mu) == value
+        assert np.array_equal(kernel.gradient(), grad)
+
+
 def test_kernel_gradient_follows_last_value_call():
     model, data = random_instance(3)
-    kernel = SmoothedLeastSquares(data.X, data.Y, 2, 2, Prox.ENTROPY, 0.1)
+    kernel = SmoothedLeastSquares(data.X, data.Y, 2, 2, Prox.ENTROPY)
     theta = pack(model)
-    kernel.value(theta)
+    kernel.value(theta, 0.1)
     at_theta = kernel.gradient()
-    kernel.value(theta + np.linspace(0.1, 0.5, theta.size))
+    kernel.value(theta + np.linspace(0.1, 0.5, theta.size), 0.1)
     assert not np.allclose(kernel.gradient(), at_theta)
-    kernel.value(theta)
+    kernel.value(theta, 0.1)
     assert np.array_equal(kernel.gradient(), at_theta)

@@ -10,7 +10,9 @@ from pwafit.optimizer import (
     fit_pool,
     nelder_mead_fit,
 )
-from pwafit.optimizer import _bfgs
+from pwafit.objective import SmoothedLeastSquares
+from pwafit.optimizer import _LockstepBfgs, _anneal, _default_rng
+from pwafit.smoothing import SmoothingSpec
 from pwafit.inference import hinge_fit_1d
 from pwafit.simulate import Scenario, generate, preset
 
@@ -40,23 +42,244 @@ def test_config_validation():
             FitConfig(**kwargs)
 
 
+class QuadraticStack:
+    """Member i minimizes 0.5 x'A_i x - b_i'x; the value at every gradient
+    call (start and accepted points) is kept as member i's history."""
+
+    def __init__(self, A, b):
+        self.A, self.b = np.asarray(A), np.asarray(b)
+        self.history = [[] for _ in self.A]
+
+    def value(self, members, X):
+        self.members, self.X = members, X
+        Ax = (self.A[members] @ X[:, :, None])[..., 0]
+        self.f = 0.5 * np.sum(X * Ax, axis=1) - np.sum(self.b[members] * X, axis=1)
+        return self.f
+
+    def gradient(self, rows):
+        members = self.members[rows]
+        for i, f in zip(members, self.f[rows]):
+            self.history[i].append(f)
+        return (self.A[members] @ self.X[rows, :, None])[..., 0] - self.b[members]
+
+
+def run_bfgs(objective, X0, tol, max_steps, per_call=None):
+    """Run one BFGS member per row of X0 to its end; (x, f, status, steps) each."""
+    bfgs = _LockstepBfgs(len(X0), X0.shape[1], tol, max_steps, per_call or len(X0))
+    for i, x0 in enumerate(X0):
+        bfgs.start(i, x0)
+    ended = {}
+    while bfgs.running:
+        for i, *res in bfgs.round(objective.value, objective.gradient):
+            ended[i] = tuple(res)
+    return [ended[i] for i in range(len(X0))]
+
+
 def test_bfgs_on_quadratic():
     A = np.array([[3.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, -1.0])
     target = np.linalg.solve(A, b)
-
-    class Quadratic:
-        def value(self, x):
-            self.x = x
-            return 0.5 * x @ A @ x - b @ x
-
-        def gradient(self):
-            return A @ self.x - b
-
-    x, f, status, steps, history = _bfgs(Quadratic(), np.array([5.0, -7.0]), 1e-8, 100)
+    quadratic = QuadraticStack([A], [b])
+    [(x, f, status, steps)] = run_bfgs(quadratic, np.array([[5.0, -7.0]]), 1e-8, 100)
+    history = quadratic.history[0]
     assert status == "converged"
     assert np.allclose(x, target, atol=1e-6)
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
+
+
+def test_lockstep_bfgs_members_equal_solo_runs():
+    # an ill-conditioned and a round quadratic converge at different step
+    # counts; each stacked member must take exactly its solo run
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    A = np.stack([Q @ np.diag([50.0, 5.0, 1.0, 0.2]) @ Q.T, np.eye(4) + 0.1])
+    b = rng.standard_normal((2, 4))
+    X0 = rng.uniform(-3, 3, (2, 4))
+    stacked = run_bfgs(QuadraticStack(A, b), X0, 1e-8, 200)
+    assert stacked[0][3] != stacked[1][3]
+    # one member per objective call, as for large n
+    split = run_bfgs(QuadraticStack(A, b), X0, 1e-8, 200, per_call=1)
+    for i, (x, f, status, steps) in enumerate(stacked):
+        assert np.array_equal(x, split[i][0]) and (f, status, steps) == tuple(split[i][1:])
+        solo = QuadraticStack(A[i : i + 1], b[i : i + 1])
+        [(x1, f1, status1, steps1)] = run_bfgs(solo, X0[i : i + 1], 1e-8, 200)
+        assert status == status1 == "converged"
+        assert np.array_equal(x, x1) and f == f1 and steps == steps1
+        assert np.allclose(x, np.linalg.solve(A[i], b[i]), atol=1e-6)
+
+
+def reference_bfgs(value, gradient, x0, tol, max_steps):
+    """The scalar BFGS loop (inverse-Hessian update, Armijo backtracking)
+    that every member of the lockstep engine must reproduce bit for bit."""
+    x = np.array(x0, dtype=float)
+    f = value(x)
+    g = gradient()
+    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+        return x, f, "instability", 0
+    H = np.eye(x.size)
+    for step in range(1, max_steps + 1):
+        if np.max(np.abs(g)) < tol:
+            return x, f, "converged", step - 1
+        p = -H @ g
+        gp = float(g @ p)
+        if not np.isfinite(gp) or gp >= 0.0:
+            H = np.eye(x.size)
+            p = -g
+            gp = -float(g @ g)
+        t = 1.0
+        for _ in range(60):
+            xn = x + t * p
+            fn = value(xn)
+            if np.isfinite(fn) and fn <= f + 1e-4 * t * gp:
+                break
+            t *= 0.5
+        else:
+            if np.max(np.abs(g)) < np.sqrt(tol):
+                return x, f, "converged", step
+            return x, f, "instability", step
+        gn = gradient()
+        if np.max(np.abs(xn)) > 1e4 or not np.all(np.isfinite(gn)):
+            return xn, fn, "instability", step
+        s = t * p
+        y = gn - g
+        sy = float(s @ y)
+        if sy > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+            rho = 1.0 / sy
+            Hy = H @ y
+            H = H - rho * (np.outer(s, Hy) + np.outer(Hy, s)) + rho * (
+                rho * float(y @ Hy) + 1.0
+            ) * np.outer(s, s)
+        if max(np.max(np.abs(gn)), np.max(np.abs(s))) < tol:
+            return xn, fn, "converged", step
+        x, f, g = xn, fn, gn
+    return x, f, "maxiter", max_steps
+
+
+class QuarticStack:
+    """Member i: 0.5 x'A_i x - b_i'x + a_i sum(x^4), with a gradient that is
+    off by c_i times the reversed x, NaN beyond radius r_i and an infinite
+    value beyond 2 r_i, so that BFGS takes most ways out of a run."""
+
+    def __init__(self, rng, members, m):
+        A = []
+        for _ in range(members):
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            signs = rng.choice([1.0, -1.0], m, p=[0.8, 0.2])
+            A.append(Q @ np.diag(np.geomspace(1, 10 ** rng.uniform(0, 4), m) * signs) @ Q.T)
+        self.A, self.b = np.array(A), rng.standard_normal((members, m))
+        self.a = rng.uniform(0, 0.5, members) * (rng.random(members) < 0.7)
+        self.c = rng.uniform(-3, 3, members) * (rng.random(members) < 0.5)
+        self.r = 10 ** rng.uniform(0, 3, members)
+
+    def value(self, members, X):
+        self.members, self.X = members, X
+        Ax = (self.A[members] @ X[:, :, None])[:, :, 0]
+        F = 0.5 * np.sum(X * Ax, axis=1) - np.sum(self.b[members] * X, axis=1)
+        F = F + self.a[members] * np.sum(X**4, axis=1)
+        F[np.sum(X * X, axis=1) > 4 * self.r[members] ** 2] = np.inf
+        return F
+
+    def gradient(self, rows):
+        i, X = self.members[rows], self.X[rows]
+        G = (self.A[i] @ X[:, :, None])[:, :, 0] - self.b[i] + 4 * self.a[i, None] * X**3
+        G = G + self.c[i, None] * X[:, ::-1]
+        G[np.sum(X * X, axis=1) > self.r[i] ** 2] = np.nan
+        return G
+
+
+class Cliff:
+    """f = 0 at member i's start point X0_i, -1 at other points within
+    max-norm distance w_i of it and 1 everywhere else; the gradient is G_i."""
+
+    def __init__(self, X0, G, w):
+        self.X0, self.G, self.w = X0, G, w
+
+    def value(self, members, X):
+        self.members = members
+        dist = np.max(np.abs(X - self.X0[members]), axis=1)
+        return np.where(dist == 0.0, 0.0, np.where(dist <= self.w[members], -1.0, 1.0))
+
+    def gradient(self, rows):
+        return self.G[self.members[rows]]
+
+
+@pytest.mark.parametrize("start_H", ["identity", "negated identity"])
+def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
+    # stacks of 2-5 members, some split over several objective calls; a
+    # negated start matrix sends every first step through the reset to
+    # steepest descent
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(12):
+        P, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        X0 = rng.uniform(-3, 3, (P, m)) * 10 ** rng.uniform(-1, 3)
+        cases.append((QuarticStack(rng, P, m), X0, 10 ** rng.uniform(-9, -4),
+                      int(rng.integers(3, 60)), int(rng.integers(1, P + 1))))
+    # Armijo steps that run out: after the last backtrack a gradient below
+    # sqrt(tol) counts as converged, a larger one as instability; the third
+    # member's step is accepted at the 60th and last trial, t = 2^-59
+    X0 = np.vstack([rng.uniform(-1, 1, (2, 4)), np.zeros(4)])
+    G = np.array([1e-6, 1e-2, 1e-2])[:, None] * np.ones(4)
+    cliff = Cliff(X0, G, np.array([0.0, 0.0, 1.5 * 2.0**-59 * 1e-2]))
+    cases.append((cliff, X0, 1e-8, 20, 3))
+    # linear, unbounded below: unit steps run the iterate past the box
+    linear = QuarticStack(rng, 2, 3)
+    linear.A[:], linear.a[:], linear.c[:], linear.r[:] = 0.0, 0.0, 0.0, np.inf
+    linear.b *= 3e3
+    cases.append((linear, rng.uniform(-1, 1, (2, 3)), 1e-8, 50, 1))
+    if start_H == "negated identity":
+        eye = np.eye
+        monkeypatch.setattr(np, "eye", lambda n, *a, **k: -eye(n, *a, **k))
+    statuses = set()
+    with np.errstate(all="ignore"):
+        for problem, X0, tol, max_steps, per_call in cases:
+            stacked = run_bfgs(problem, X0, tol, max_steps, per_call)
+            for i, (x, f, status, steps) in enumerate(stacked):
+                def value(x, i=i):
+                    return problem.value(np.array([i]), x[None])[0]
+
+                want = reference_bfgs(value, lambda: problem.gradient(np.array([0]))[0],
+                                      X0[i], tol, max_steps)
+                assert np.array_equal(x, want[0])
+                assert f == want[1] or (np.isnan(f) and np.isnan(want[1]))
+                assert (status, steps) == want[2:]
+                statuses.add(status)
+    # each way out of a run is taken (no member converges from a negated start)
+    expected = {"converged", "maxiter", "instability"} if start_H == "identity" else set()
+    assert statuses >= expected | {"maxiter", "instability"}
+
+
+# (preset, prox, k2, max_newton_steps, pool, pool split over several kernel
+# calls): with max_restarts = 2 and seed 1, some members converge at once, some
+# after a restart, and at least one exhausts its restarts
+INDEPENDENCE_CASES = [
+    ("broken-stick-200", "sqerr", 0, 26, 6, False),
+    ("broken-stick-200", "entropy", 1, 30, 6, False),
+    ("broken-stick-500", "sqerr", 1, 28, 5, True),
+    ("broken-stick-500", "entropy", 0, 34, 5, True),
+]
+
+
+@pytest.mark.parametrize("name,prox,k2,steps,pool,split", INDEPENDENCE_CASES)
+def test_lockstep_members_equal_their_solo_fits(name, prox, k2, steps, pool, split):
+    data = generate(preset(name, seed=1))
+    kernel = SmoothedLeastSquares(data.X, data.Y, 2, k2, prox)
+    assert (kernel.members_per_call < pool) == split
+    cfg = FitConfig(
+        mu_target=0.1, max_newton_steps=steps, max_restarts=2, restarts_pool=pool, seed=1
+    )
+    rngs = [_default_rng(1, i) for i in range(pool)]
+    pooled = _anneal(data, 2, k2, SmoothingSpec(prox, 0.1), cfg, rngs)
+    outcomes = {(res.converged, res.restarts_used > 0) for res in pooled}
+    assert outcomes == {(True, False), (True, True), (False, True)}
+    for i, res in enumerate(pooled):
+        solo = fit(data, 2, k2, prox, cfg, rng=_default_rng(1, i))
+        assert np.array_equal(res.theta_hat, solo.theta_hat)
+        assert res.anneal_trace == solo.anneal_trace
+        assert res.objective_value == solo.objective_value
+        assert (res.restarts_used, res.converged) == (solo.restarts_used, solo.converged)
+        if not res.converged:
+            assert res.restarts_used == 2 and np.isfinite(res.empirical_norm)
 
 
 def test_recovers_single_plane_noiselessly():

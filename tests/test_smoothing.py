@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pwafit.model import MaxAffine, PwaModel, zero_part
-from pwafit.smoothing import Prox, SmoothingSpec, project_simplex, rho_max, smooth_max
+from pwafit.smoothing import Prox, SmoothingSpec, _first_max, project_simplex, rho_max, smooth_max
 
 ABS = MaxAffine([[1.0, 0.0], [-1.0, 0.0]])
 
@@ -224,6 +224,29 @@ def test_mu_zero_is_exact_max_with_one_hot_weights():
         # |x| at the kink: both pieces attain the max, the first one wins
         _, W0 = smooth_max(ABS.piece_values([[0.0]]), prox, 0.0)
         assert np.array_equal(W0, [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hard_max_over_piece_rows_is_bit_equal_to_argmax(k):
+    # mu = 0 reduces over the k piece-major rows with a running strict >;
+    # values, weights and indices must be those of argmax, ties included
+    rng = np.random.default_rng(k)
+    Z = rng.uniform(-1, 1, (40, k))
+    Z[::4] = Z[::4, :1]  # every piece ties
+    Z[1::4, -1] = Z[1::4, 0]  # the first and the last piece tie
+    Z[2::4, 0], Z[2::4, -1] = -0.0, 0.0  # tied zeros of opposite sign
+    idx = Z.argmax(axis=1)
+    want = Z[np.arange(len(Z)), idx]
+    for layout in (Z, np.ascontiguousarray(Z.T).T):
+        assert np.array_equal(_first_max(layout.T)[1], idx)
+        for prox in Prox:
+            vals, W = smooth_max(layout, prox, 0.0)
+            assert vals.tobytes() == want.tobytes()
+            assert np.array_equal(W, np.eye(k)[idx])
+    # a stack of members: each member's rows reduce on their own
+    vals, W = smooth_max(np.stack([Z, Z[::-1]]), Prox.ENTROPY, 0.0)
+    assert vals.tobytes() == np.stack([want, want[::-1]]).tobytes()
+    assert np.array_equal(W, np.eye(k)[np.stack([idx, idx[::-1]])])
 
 
 def test_entropy_monotone_in_mu():
