@@ -50,11 +50,15 @@ class Dataset:
 
 
 # Most piece values (members x pieces x points) one stacked kernel call should
-# hold.  Per member, a sqerr value+gradient with k = 2 cost 23.9/14.6/9.8/6.3 us
-# for 1, 2, 4 and 10 stacked members at n = 200 (d = 1), 39/30/53 us for 1, 2
-# and 4 at n = 1000 (d = 2), and 58/96 us for 1 and 2 at n = 2000; at n = 10^4,
-# ten stacked members cost 2.3x ten single calls (2-core x86_64 VM, numpy 2.4
-# with OpenBLAS).  Stacking pays while a call stays in cache.
+# hold.  Per member, a sqerr value+gradient with k = 2 cost 59/35/21/11 us for
+# 1, 2, 4 and 10 stacked members at n = 200 (d = 1), 88/59/40 us for 1, 2 and 4
+# at n = 1000 (d = 2), and 100/76/65 us at n = 2000; at n = 10^4 (d = 4), ten
+# stacked members cost 1.16x ten single calls (medians of interleaved runs on a
+# loaded 2-core x86_64 VM, numpy 2.4 with OpenBLAS).  Stacking pays while a
+# call stays in cache.  That host still gained at 8k-16k piece values, but an
+# idle run of an older kernel found 4 members at n = 1000 and 2 at n = 2000
+# slower than fewer; stacking leaves the bits alone, so the cap moves timings
+# only, and no benchmark workload stacks between 4096 and 16k values.
 _STACK_PIECE_VALUES = 4096
 
 
@@ -87,7 +91,7 @@ class SmoothedLeastSquares:
         # numpy hands a one-row product to a matrix-vector routine that sums
         # over d in another order; X @ A' keeps the (n, k) kernel's bits
         Zt = (self.X @ A.transpose(0, 2, 1)).transpose(0, 2, 1) if k == 1 else A @ self.XT
-        Zt = Zt + theta[:, offset + k * d : offset + k * (d + 1), None]
+        Zt += theta[:, offset + k * d : offset + k * (d + 1), None]
         return smooth_max(Zt.transpose(0, 2, 1), self.prox, mu)
 
     def value(self, theta: np.ndarray, mu: float | np.ndarray) -> float | np.ndarray:
@@ -96,13 +100,15 @@ class SmoothedLeastSquares:
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
         T = theta[None] if single else theta
-        fitted, W1 = self._part(T, 0, self.k1, mu)
+        # the smoothed values are fresh arrays, so the residuals are formed
+        # in their place
+        R, W1 = self._part(T, 0, self.k1, mu)
         weights = [(W1, 1.0)]
         if self.k2:
             v2, W2 = self._part(T, self.k1 * (self.d + 1), self.k2, mu)
-            fitted = fitted - v2
+            R -= v2
             weights.append((W2, -1.0))
-        R = self.Y - fitted
+        np.subtract(self.Y, R, out=R)
         self._cache = (single, weights, R)
         values = np.add.reduce(R * R, axis=1) / R.shape[1]
         return float(values[0]) if single else values
@@ -125,13 +131,21 @@ class SmoothedLeastSquares:
         blocks = []
         for W, sign in weights:
             # W is the (n, k) view of a piece-major buffer.  The BLAS products
-            # sum in a layout-dependent order, so an (n, k)-ordered copy keeps
-            # the gradient bit-identical to that of an (n, k) kernel.
-            W = np.ascontiguousarray(W)
+            # sum in a layout-dependent order, so they get (n, k)-ordered
+            # copies of W and of W * r, which keeps the gradient bit-identical
+            # to that of an (n, k) kernel.  Filling them one piece-major row
+            # per column is far cheaper than a strided copy or a broadcast
+            # whose inner loop runs over k.
+            Wt = W.transpose(0, 2, 1)
+            Wn, WR = np.empty((2,) + W.shape)
+            for j in range(W.shape[2]):
+                Wn[..., j] = Wt[:, j]
+                np.multiply(Wt[:, j], R, out=WR[..., j])
             s = sign * scale
+            WR *= s
             blocks += [
-                (s * (W * r).transpose(0, 2, 1) @ X).reshape(R.shape[0], -1),
-                s * (W.transpose(0, 2, 1) @ r)[..., 0],
+                (WR.transpose(0, 2, 1) @ X).reshape(R.shape[0], -1),
+                s * (Wn.transpose(0, 2, 1) @ r)[..., 0],
             ]
         G = np.concatenate(blocks, axis=1)
         return G[0] if single else G

@@ -6,6 +6,7 @@ deterministic under the scenario seed.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,24 +124,47 @@ def dataset_to_csv(data: Dataset, path) -> None:
 
 
 def dataset_from_csv(path) -> Dataset:
+    """Read a CSV written by :func:`dataset_to_csv`: a header ``x1,...,xd,y``
+    and one numeric row per point.  Empty lines are skipped.  Every error
+    message starts with ``path:``; a bad row is named by its line number."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "y" or len(header) < 2:
             raise ValueError(f"{path}: expected header x1,...,xd,y")
         d = len(header) - 1
-        rows = []
+        try:
+            # numpy's reader parses each field as float() does, without a
+            # Python call per field; an empty body is reported below
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            # name the row; numpy's message counts rows its own way
+            raise ValueError(_bad_row(path, d) or f"{path}: {exc}") from None
+    if arr.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    if arr.shape[1] != d + 1:
+        raise ValueError(_bad_row(path, d))
+    try:
+        return Dataset(arr[:, :d], arr[:, d])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _bad_row(path, d: int) -> str | None:
+    """The message naming the first data row of the CSV at ``path`` that is
+    ragged or not numeric, if any."""
+    with open(path) as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != d + 1:
-                raise ValueError(f"{path}:{lineno}: expected {d + 1} columns, got {len(parts)}")
+                return f"{path}:{lineno}: expected {d + 1} columns, got {len(parts)}"
             try:
-                rows.append([float(v) for v in parts])
+                [float(v) for v in parts]
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows)
-    return Dataset(arr[:, :d], arr[:, d])
+                return f"{path}:{lineno}: non-numeric value"
+    return None

@@ -9,6 +9,7 @@ satisfy the sandwich bound ``f - mu * rho_max <= f_mu <= f`` with
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +70,31 @@ def project_simplex(c) -> np.ndarray:
     single = c.ndim == 1
     V = (c[None, :] if single else c).swapaxes(-1, -2)
     k = V.shape[-2]
-    if k == 2:
+    # each chain below runs in place on this function's own fresh arrays,
+    # with the operations and their order of the sort-and-threshold formula
+    if k == 1:
+        # the sort and the cumulative sum are identities, the division by 1
+        # and the max over one row exact
+        lam = V[..., 0, :] - 1.0
+    elif k == 2:
         # the sort of two rows; the cumulative sums add in the same order
         hi = np.maximum(V[..., 0, :], V[..., 1, :])
         lo = np.minimum(V[..., 0, :], V[..., 1, :])
-        lam = np.maximum(hi - 1.0, (hi + lo - 1.0) / 2.0)
+        # lam = max(hi - 1, ((hi + lo) - 1) / 2)
+        np.add(hi, lo, out=lo)
+        lo -= 1.0
+        lo /= 2.0
+        hi -= 1.0
+        lam = np.maximum(hi, lo, out=hi)
     else:
         U = np.sort(V, axis=-2)[..., ::-1, :]
-        steps = np.arange(1, k + 1)[:, None]
-        lam = np.maximum.reduce((np.cumsum(U, axis=-2) - 1.0) / steps, axis=-2)
-    w = np.maximum(V - lam[..., None, :], 0.0).swapaxes(-1, -2)
+        U = np.cumsum(U, axis=-2)
+        U -= 1.0
+        U /= np.arange(1, k + 1)[:, None]
+        lam = np.maximum.reduce(U, axis=-2)
+    w = V - lam[..., None, :]
+    np.maximum(w, 0.0, out=w)
+    w = w.swapaxes(-1, -2)
     return w[0] if single else w
 
 
@@ -111,7 +127,9 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
 
     A scalar ``mu = 0`` is the unsmoothed limit for either prox: the exact
     row maxima and one-hot weights on the maximizing piece, ties going to
-    the lowest index as in ``argmax``.  Per-member levels must be positive.
+    the lowest index as in ``argmax``.  Per-member levels must be positive;
+    a level that is negative, zero per member, NaN or infinite raises
+    ``ValueError``.
 
     The work runs on the piece-major view of ``Z`` (its last two axes
     swapped), so each reduction over pieces combines k long rows.  A caller
@@ -119,21 +137,46 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
     its swapped view, which costs no copy; ``W`` is then the swapped view of
     a ``(..., k, n)`` array.
     """
+    scalar = np.ndim(mu) == 0
+    if scalar:
+        valid = 0.0 <= mu < math.inf
+    else:
+        mu = np.asarray(mu, dtype=float)
+        valid = 0.0 < np.minimum.reduce(mu, axis=None) and np.maximum.reduce(mu, axis=None) < math.inf
+    if not valid:
+        raise ValueError("mu must be finite and >= 0 (scalar) / > 0 (per member)")
     Zt = Z.swapaxes(-1, -2)
     k = Zt.shape[-2]
-    if np.ndim(mu) == 0 and mu == 0.0:
+    if scalar and mu == 0.0:
         vals, idx = _first_max(Zt)
         Wt = (np.arange(k)[:, None] == idx[..., None, :]).astype(float)
         return vals, Wt.swapaxes(-1, -2)
     mu = np.asarray(mu, dtype=float)[..., None]  # against (..., n)
+    # each chain below runs in place on this function's own fresh arrays,
+    # with the operations and their order of the out-of-place formulas
     if prox == Prox.ENTROPY:
         # subtract the max before exponentiating; mandatory for small mu
         zmax = np.maximum.reduce(Zt, axis=-2)
-        E = np.exp((Zt - zmax[..., None, :]) / mu[..., None])
+        E = Zt - zmax[..., None, :]
+        E /= mu[..., None]
+        np.exp(E, out=E)
         S = np.add.reduce(E, axis=-2)
-        vals = zmax + mu * (np.log(S) - np.log(k))
-        return vals, (E / S[..., None, :]).swapaxes(-1, -2)
-    Wt = project_simplex((Zt / mu[..., None] - 1.0 / k).swapaxes(-1, -2)).swapaxes(-1, -2)
-    rho = 0.5 * np.add.reduce((Wt - 1.0 / k) ** 2, axis=-2)
-    vals = np.add.reduce(Wt * Zt, axis=-2) - mu * rho
+        # vals = zmax + mu * (log S - log k)
+        vals = np.log(S)
+        vals -= np.log(k)
+        vals *= mu
+        vals += zmax
+        E /= S[..., None, :]
+        return vals, E.swapaxes(-1, -2)
+    C = Zt / mu[..., None]
+    C -= 1.0 / k
+    Wt = project_simplex(C.swapaxes(-1, -2)).swapaxes(-1, -2)
+    # rho = (0.5 * sum_j (w_j - 1/k)^2) * mu, then vals = sum_j w_j z_j - rho
+    D = Wt - 1.0 / k
+    np.square(D, out=D)
+    rho = np.add.reduce(D, axis=-2)
+    rho *= 0.5
+    rho *= mu
+    vals = np.add.reduce(np.multiply(Wt, Zt, out=D), axis=-2)
+    vals -= rho
     return vals, Wt.swapaxes(-1, -2)

@@ -101,6 +101,27 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "body, where",
+    [
+        ("x1,y\n1.0,2.0\n1.0\n", ":3: expected 2 columns"),
+        ("x1,y\n1.0,2.0\n\n3.0,huh\n", ":4: non-numeric"),
+        ("x1,y\n1.0,2.0\n# note\n", ":3: expected 2 columns"),
+        ("x1,y\n# x,y\n", ":2: non-numeric"),
+        ("x1,y\n1.0,2.0,3.0\n", ":2: expected 2 columns, got 3"),
+        ("x1,y\n1.0,nan\n", ": data must be finite"),
+        ("x1,y\n", ": no data rows"),
+    ],
+)
+def test_fit_bad_csv_exits_2_naming_file_and_row(tmp_path, capsys, body, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(body)
+    out = tmp_path / "f.json"
+    assert run("fit", "--in", bad, "--k1", 1, "--out", out, "--fitted-csv", tmp_path / "g.csv") == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}{where}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--pool", 0), ("--mu", 0), ("--tol", -1), ("--tol", "nan"), ("--mu", "inf")]
 )
 def test_fit_bad_config_exits_2(tmp_path, capsys, flag, value):

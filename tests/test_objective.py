@@ -12,7 +12,7 @@ from pwafit.objective import (
     least_squares_gradient,
 )
 from pwafit.simulate import generate, preset
-from pwafit.smoothing import Prox, SmoothingSpec, rho_max, smooth_max
+from pwafit.smoothing import Prox, SmoothingSpec, project_simplex, rho_max, smooth_max
 
 
 def smooth_value_model(model, spec, x):
@@ -254,3 +254,126 @@ def test_kernel_gradient_follows_last_value_call():
     assert not np.allclose(kernel.gradient(), at_theta)
     kernel.value(theta, 0.1)
     assert np.array_equal(kernel.gradient(), at_theta)
+
+
+# The kernel's elementwise chains run in place.  These are the out-of-place
+# formulas they replace, kept as the reference for their bits.
+def reference_project_simplex(c):
+    c = np.asarray(c, dtype=float)
+    single = c.ndim == 1
+    V = (c[None, :] if single else c).swapaxes(-1, -2)
+    k = V.shape[-2]
+    if k == 2:
+        hi = np.maximum(V[..., 0, :], V[..., 1, :])
+        lo = np.minimum(V[..., 0, :], V[..., 1, :])
+        lam = np.maximum(hi - 1.0, (hi + lo - 1.0) / 2.0)
+    else:
+        U = np.sort(V, axis=-2)[..., ::-1, :]
+        steps = np.arange(1, k + 1)[:, None]
+        lam = np.maximum.reduce((np.cumsum(U, axis=-2) - 1.0) / steps, axis=-2)
+    w = np.maximum(V - lam[..., None, :], 0.0).swapaxes(-1, -2)
+    return w[0] if single else w
+
+
+def reference_smooth_max(Z, prox, mu):
+    Zt = Z.swapaxes(-1, -2)
+    k = Zt.shape[-2]
+    mu = np.asarray(mu, dtype=float)[..., None]
+    if prox == Prox.ENTROPY:
+        zmax = np.maximum.reduce(Zt, axis=-2)
+        E = np.exp((Zt - zmax[..., None, :]) / mu[..., None])
+        S = np.add.reduce(E, axis=-2)
+        vals = zmax + mu * (np.log(S) - np.log(k))
+        return vals, (E / S[..., None, :]).swapaxes(-1, -2)
+    Wt = reference_project_simplex((Zt / mu[..., None] - 1.0 / k).swapaxes(-1, -2)).swapaxes(-1, -2)
+    rho = 0.5 * np.add.reduce((Wt - 1.0 / k) ** 2, axis=-2)
+    vals = np.add.reduce(Wt * Zt, axis=-2) - mu * rho
+    return vals, Wt.swapaxes(-1, -2)
+
+
+def reference_kernel(X, Y, theta, k1, k2, prox, mu, rows=None):
+    """Values and gradients of a ``(P, m)`` stack."""
+    d, XT = X.shape[1], np.ascontiguousarray(X.T)
+
+    def part(offset, k):
+        A = theta[:, offset : offset + k * d].reshape(-1, k, d)
+        Zt = (X @ A.transpose(0, 2, 1)).transpose(0, 2, 1) if k == 1 else A @ XT
+        Zt = Zt + theta[:, offset + k * d : offset + k * (d + 1), None]
+        return reference_smooth_max(Zt.transpose(0, 2, 1), prox, mu)
+
+    fitted, W1 = part(0, k1)
+    weights = [(W1, 1.0)]
+    if k2:
+        v2, W2 = part(k1 * (d + 1), k2)
+        fitted = fitted - v2
+        weights.append((W2, -1.0))
+    R = Y - fitted
+    values = np.add.reduce(R * R, axis=1) / R.shape[1]
+    if rows is not None:
+        weights = [(W[rows], sign) for W, sign in weights]
+        R = R[rows]
+    r, blocks = R[:, :, None], []
+    for W, sign in weights:
+        W = np.ascontiguousarray(W)
+        s = sign * (-2.0 / X.shape[0])
+        blocks += [
+            (s * (W * r).transpose(0, 2, 1) @ X).reshape(R.shape[0], -1),
+            s * (W.transpose(0, 2, 1) @ r)[..., 0],
+        ]
+    return values, np.concatenate(blocks, axis=1)
+
+
+MU_CASES = [("scalar", 1), ("per-member", 1), ("per-member", 3)]
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+@pytest.mark.parametrize("mu_kind, P", MU_CASES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_smooth_max_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k):
+    rng = np.random.default_rng(10 * k + P)
+    Zt = rng.uniform(-2, 2, (P, k, 600))
+    Zt[:, :, ::7] = Zt[:, :1, ::7]  # ties
+    mus = np.array([0.5, 0.03, 2e-4])[:P]
+    mu = mus[0] if mu_kind == "scalar" else mus
+    for Z in (Zt.transpose(0, 2, 1), np.ascontiguousarray(Zt.transpose(0, 2, 1))):
+        if mu_kind == "scalar":
+            Z = Z[0]
+        before = Z.copy()
+        vals, W = smooth_max(Z, prox, mu)
+        want_vals, want_W = reference_smooth_max(Z, prox, mu)
+        assert np.array_equal(Z, before)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert np.array_equal(W, want_W)
+        C = Z / 0.1
+        before = C.copy()
+        assert np.array_equal(project_simplex(C), reference_project_simplex(C))
+        assert np.array_equal(C, before)
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+@pytest.mark.parametrize("mu_kind, P", MU_CASES)
+@pytest.mark.parametrize("k1,k2", [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2), (3, 3)])
+def test_kernel_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k1, k2):
+    # value, residuals and gradient match the out-of-place formulas bit for
+    # bit, the (n, k) copies included, and theta is never written
+    data = generate(preset("planes-d4", seed=3))
+    m = (k1 + k2) * (data.d + 1)
+    thetas = np.random.default_rng(k1 + 4 * k2 + P).uniform(-1.5, 1.5, (P, m))
+    mus = np.array([0.4, 0.05, 0.01])[:P]
+    kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox)
+    mu = mus[0] if mu_kind == "scalar" else mus
+    want_values, want_grads = reference_kernel(data.X, data.Y, thetas, k1, k2, prox, mu)
+    if mu_kind == "scalar":
+        theta, before = thetas[0], thetas[0].copy()
+        assert kernel.value(theta, mu) == want_values[0]
+        assert np.array_equal(theta, before)
+        assert np.array_equal(kernel.gradient(), want_grads[0])
+        return
+    before = thetas.copy()
+    assert np.array_equal(kernel.value(thetas, mus), want_values)
+    assert np.array_equal(thetas, before)
+    assert np.array_equal(kernel.gradient(), want_grads)
+    if P > 1:
+        rows = np.array([0, 2])
+        _, want_rows = reference_kernel(data.X, data.Y, thetas, k1, k2, prox, mus, rows)
+        assert np.array_equal(kernel.gradient(rows), want_rows)

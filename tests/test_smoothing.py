@@ -152,6 +152,21 @@ def test_project_simplex_two_pieces_is_bit_equal_to_sort_and_threshold(C):
     assert np.array_equal(project_simplex(C), sort_and_threshold(C))
 
 
+@given(
+    st.integers(1, 3),
+    arrays(float, st.tuples(st.integers(1, 40), st.just(1)),
+           elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])),
+)
+@settings(max_examples=200, deadline=None)
+def test_project_simplex_one_piece_is_bit_equal_to_sort_and_threshold(P, C):
+    # k = 1 skips the sort: the threshold is the one value minus 1
+    assert np.array_equal(project_simplex(C), sort_and_threshold(C))
+    stack = np.stack([C * (p + 1) for p in range(P)])
+    want = np.stack([sort_and_threshold(member) for member in stack])
+    assert np.array_equal(project_simplex(stack), want)
+    assert np.array_equal(project_simplex(np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2)), want)
+
+
 @pytest.mark.parametrize("prox", list(Prox))
 @pytest.mark.parametrize("mu", [0.0, 0.05])
 @pytest.mark.parametrize("k", [2, 3])
@@ -211,6 +226,29 @@ def test_sandwich_bound(k, seed):
             slack = 1e-10 if mu else 0.0
             assert np.all(gap >= -slack)
             assert np.all(gap <= mu * rho_max(prox, k) + slack)
+
+
+@pytest.mark.parametrize(
+    "prox, mu",
+    [
+        ("sqerr", -0.1),
+        ("entropy", -0.1),
+        ("sqerr", np.nan),
+        ("entropy", np.inf),
+        ("entropy", np.array([-0.1, 0.1])),
+        ("sqerr", np.array([-0.1, 0.1])),
+        ("entropy", np.array([0.0, 0.1])),
+        ("sqerr", np.array([0.0, 0.1])),
+        ("sqerr", np.array([np.nan, 0.1])),
+        ("entropy", np.array([0.1, np.inf])),
+    ],
+)
+def test_smooth_max_rejects_bad_mu(prox, mu):
+    # a negative level breaks the sandwich bound, a zero per-member level
+    # divides by zero; a scalar mu = 0 is the exact max and stays valid
+    Z = np.random.default_rng(0).uniform(-1, 1, (2, 30, 2))
+    with pytest.raises(ValueError, match="mu must be"):
+        smooth_max(Z if np.ndim(mu) else Z[0], prox, mu)
 
 
 def test_mu_zero_is_exact_max_with_one_hot_weights():
