@@ -133,14 +133,13 @@ class SmoothedLeastSquares:
             # W is the (n, k) view of a piece-major buffer.  The BLAS products
             # sum in a layout-dependent order, so they get (n, k)-ordered
             # copies of W and of W * r, which keeps the gradient bit-identical
-            # to that of an (n, k) kernel.  Filling them one piece-major row
-            # per column is far cheaper than a strided copy or a broadcast
-            # whose inner loop runs over k.
+            # to that of an (n, k) kernel.  A ufunc writing through the
+            # piece-major view of each copy runs its inner loop over n; a
+            # strided copy or a broadcast over (n, k) runs it over k.
             Wt = W.transpose(0, 2, 1)
             Wn, WR = np.empty((2,) + W.shape)
-            for j in range(W.shape[2]):
-                Wn[..., j] = Wt[:, j]
-                np.multiply(Wt[:, j], R, out=WR[..., j])
+            np.positive(Wt, out=Wn.transpose(0, 2, 1))
+            np.multiply(Wt, R[:, None, :], out=WR.transpose(0, 2, 1))
             s = sign * scale
             WR *= s
             blocks += [

@@ -125,19 +125,19 @@ def dataset_to_csv(data: Dataset, path) -> None:
 
 def dataset_from_csv(path) -> Dataset:
     """Read a CSV written by :func:`dataset_to_csv`: a header ``x1,...,xd,y``
-    and one numeric row per point.  Empty lines are skipped.  Every error
-    message starts with ``path:``; a bad row is named by its line number."""
-    with open(path) as fh:
+    and one numeric row per point.  Blank lines are skipped.  Fields are
+    parsed by numpy's text reader, which takes the decimal spellings that
+    ``float()`` takes except underscores and non-ASCII digits.  Bytes that
+    are not text in the locale's encoding read as U+FFFD, so they make a bad
+    row.  Every error message starts with ``path:``; a bad row is named by
+    its line number."""
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "y" or len(header) < 2:
             raise ValueError(f"{path}: expected header x1,...,xd,y")
         d = len(header) - 1
         try:
-            # numpy's reader parses each field as float() does, without a
-            # Python call per field; an empty body is reported below
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            arr = _read_rows(line for line in fh if line.strip())
         except ValueError as exc:
             # name the row; numpy's message counts rows its own way
             raise ValueError(_bad_row(path, d) or f"{path}: {exc}") from None
@@ -151,20 +151,27 @@ def dataset_from_csv(path) -> Dataset:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _read_rows(lines) -> np.ndarray:
+    """Comma-separated numeric ``lines`` as an (n, columns) array, without a
+    Python call per field; no lines give an empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
 def _bad_row(path, d: int) -> str | None:
     """The message naming the first data row of the CSV at ``path`` that is
-    ragged or not numeric, if any."""
-    with open(path) as fh:
+    ragged or that :func:`_read_rows` rejects, if any."""
+    with open(path, errors="replace") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
+            if not line.strip():
                 continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                return f"{path}:{lineno}: expected {d + 1} columns, got {len(parts)}"
+            columns = line.count(",") + 1
+            if columns != d + 1:
+                return f"{path}:{lineno}: expected {d + 1} columns, got {columns}"
             try:
-                [float(v) for v in parts]
+                _read_rows([line])
             except ValueError:
                 return f"{path}:{lineno}: non-numeric value"
     return None

@@ -65,18 +65,14 @@ def project_simplex(c) -> np.ndarray:
     the swapped view of a ``(..., k, n)`` array.
     """
     c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("input must be finite")
     single = c.ndim == 1
     V = (c[None, :] if single else c).swapaxes(-1, -2)
     k = V.shape[-2]
     # each chain below runs in place on this function's own fresh arrays,
     # with the operations and their order of the sort-and-threshold formula
-    if k == 1:
-        # the sort and the cumulative sum are identities, the division by 1
-        # and the max over one row exact
-        lam = V[..., 0, :] - 1.0
-    elif k == 2:
+    if k == 2:
         # the sort of two rows; the cumulative sums add in the same order
         hi = np.maximum(V[..., 0, :], V[..., 1, :])
         lo = np.minimum(V[..., 0, :], V[..., 1, :])
@@ -141,8 +137,9 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
     if scalar:
         valid = 0.0 <= mu < math.inf
     else:
+        # a Python pass over the few levels costs less than two reductions
         mu = np.asarray(mu, dtype=float)
-        valid = 0.0 < np.minimum.reduce(mu, axis=None) and np.maximum.reduce(mu, axis=None) < math.inf
+        valid = all(0.0 < m < math.inf for m in mu.ravel().tolist())
     if not valid:
         raise ValueError("mu must be finite and >= 0 (scalar) / > 0 (per member)")
     Zt = Z.swapaxes(-1, -2)

@@ -108,13 +108,17 @@ def test_fit_malformed_csv_exits_2(tmp_path, capsys):
         ("x1,y\n1.0,2.0\n# note\n", ":3: expected 2 columns"),
         ("x1,y\n# x,y\n", ":2: non-numeric"),
         ("x1,y\n1.0,2.0,3.0\n", ":2: expected 2 columns, got 3"),
+        # float() takes these two spellings, numpy's reader does not
+        ("x1,y\n1.0,2.0\n   \n3.0,1_000\n", ":4: non-numeric"),
+        ("x1,y\n\u0661,2.0\n", ":2: non-numeric"),
+        (b"x1,y\n1.0,2.0\n\xff\xfe,3.0\n", ":3: non-numeric"),
         ("x1,y\n1.0,nan\n", ": data must be finite"),
         ("x1,y\n", ": no data rows"),
     ],
 )
 def test_fit_bad_csv_exits_2_naming_file_and_row(tmp_path, capsys, body, where):
     bad = tmp_path / "bad.csv"
-    bad.write_text(body)
+    bad.write_bytes(body if isinstance(body, bytes) else body.encode())
     out = tmp_path / "f.json"
     assert run("fit", "--in", bad, "--k1", 1, "--out", out, "--fitted-csv", tmp_path / "g.csv") == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}{where}")

@@ -112,6 +112,14 @@ def test_csv_roundtrip_is_exact(table):
     assert b"\r" not in raw
 
 
+def test_csv_skips_blank_and_whitespace_only_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x1,y\n1.0,2.0\n\n   \n\t\n 3.0 , 4.0 \n")
+    data = dataset_from_csv(path)
+    assert data.X.tolist() == [[1.0], [3.0]]
+    assert data.Y.tolist() == [2.0, 4.0]
+
+
 def test_csv_errors_carry_line_numbers(tmp_path):
     bad_cols = tmp_path / "cols.csv"
     bad_cols.write_text("x1,y\n1.0,2.0\n1.0\n")

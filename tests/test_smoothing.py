@@ -152,21 +152,6 @@ def test_project_simplex_two_pieces_is_bit_equal_to_sort_and_threshold(C):
     assert np.array_equal(project_simplex(C), sort_and_threshold(C))
 
 
-@given(
-    st.integers(1, 3),
-    arrays(float, st.tuples(st.integers(1, 40), st.just(1)),
-           elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])),
-)
-@settings(max_examples=200, deadline=None)
-def test_project_simplex_one_piece_is_bit_equal_to_sort_and_threshold(P, C):
-    # k = 1 skips the sort: the threshold is the one value minus 1
-    assert np.array_equal(project_simplex(C), sort_and_threshold(C))
-    stack = np.stack([C * (p + 1) for p in range(P)])
-    want = np.stack([sort_and_threshold(member) for member in stack])
-    assert np.array_equal(project_simplex(stack), want)
-    assert np.array_equal(project_simplex(np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2)), want)
-
-
 @pytest.mark.parametrize("prox", list(Prox))
 @pytest.mark.parametrize("mu", [0.0, 0.05])
 @pytest.mark.parametrize("k", [2, 3])
