@@ -53,20 +53,31 @@ def _write_table(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _count(text: str) -> int:
-    """``type=`` for ``--pool`` and ``--reps``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+def _at_least(low: int):
+    """``type=`` for an integer option whose smallest valid value is ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    return parse
+
+
+_count = _at_least(1)  # --pool and --reps
+_seed = _at_least(0)
 
 
 def _level(text: str) -> float:
     """``type=`` for ``--level``: a number strictly between 0 and 1."""
-    value = float(text)  # argparse reports a ValueError as an invalid value
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
     return value
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a preset dataset as CSV")
     p_sim.add_argument("--preset", required=True, help=f"one of: {', '.join(preset_names())}")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--mu", type=float, default=0.1)
     p_fit.add_argument("--tol", type=float, default=1e-5)
     p_fit.add_argument("--pool", type=_count, default=10)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_seed, default=0)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--fitted-csv", default=None)
     p_fit.set_defaults(func=_cmd_fit)
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--reps", type=_count, default=100)
     p_cmp.add_argument("--mu", type=float, default=0.1)
     p_cmp.add_argument("--pool", type=_count, default=10)
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--seed", type=_seed, default=0)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -241,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=_EXPERIMENTS)
     p_exp.add_argument("--reps", type=_count, default=100)
     p_exp.add_argument("--pool", type=_count, default=10)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=_seed, default=0)
     p_exp.add_argument("--outdir", required=True)
     p_exp.set_defaults(func=_cmd_experiment)
 

@@ -6,6 +6,7 @@ CSV/JSON and tests can assert on them directly.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 
@@ -33,6 +34,18 @@ THREE_PLANE_MODEL = convex_model(
 )
 
 
+# Settings the studies share or fix; the data sizes and noise levels are
+# those of each study's preset.
+_PROX = "sqerr"
+_MU_EXPONENTS = tuple(round(0.1 * i, 1) for i in range(1, 11))  # mu = n^-e
+_ECDF_MU = 0.1
+_ECDF_THRESHOLD = 0.1  # a fit with a smaller deviation counts as a success
+_COVERAGE_MU = 0.01
+_COVERAGE_LEVEL = 0.95
+_THREE_PLANES_N = 1000
+_THREE_PLANES_MU = 0.1
+
+
 def _rep_seed(seed: int, rep: int) -> int:
     return int(seed) * 1_000_003 + rep
 
@@ -43,7 +56,6 @@ def compare_methods(
     mu: float = 0.1,
     pool: int = 10,
     seed: int = 0,
-    prox: str = "sqerr",
 ) -> list[dict]:
     """Mean empirical norm and wall time of the smoothed fit vs Nelder-Mead
     on freshly generated datasets from a preset."""
@@ -53,13 +65,11 @@ def compare_methods(
     stats = {"smoothed": ([], []), "nelder-mead": ([], [])}
     for rep in range(reps):
         rep_seed = _rep_seed(seed, rep)
-        data = generate(
-            Scenario(base.model, n=base.n, noise_sd=base.noise_sd, box=base.box, seed=rep_seed)
-        )
+        data = generate(dataclasses.replace(base, seed=rep_seed))
         cfg = FitConfig(mu_target=mu, restarts_pool=pool, seed=rep_seed)
         for method in ("smoothed", "nelder-mead"):
             t0 = time.perf_counter()
-            res = fit_pool(data, k1, k2, prox, cfg, method="anneal" if method == "smoothed" else method)
+            res = fit_pool(data, k1, k2, _PROX, cfg, method="anneal" if method == "smoothed" else method)
             elapsed = time.perf_counter() - t0
             stats[method][0].append(res.empirical_norm)
             stats[method][1].append(elapsed)
@@ -74,29 +84,23 @@ def compare_methods(
     ]
 
 
-def mu_sweep(
-    reps: int = 10,
-    pool: int = 5,
-    n: int = 1000,
-    seed: int = 0,
-    exponents: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11)),
-    prox: str = "sqerr",
-) -> list[dict]:
+def mu_sweep(reps: int = 10, pool: int = 5, seed: int = 0) -> list[dict]:
     """Mean parameter deviation and fit time as ``mu = n^-e`` shrinks.
 
     Each replication reuses one dataset across all exponents so the trend
     reflects the smoothing level, not sampling noise.
     """
-    truth = preset("mu-study").model
-    deviations = {e: [] for e in exponents}
-    times = {e: [] for e in exponents}
+    study = preset("mu-study")
+    truth, n = study.model, study.n
+    deviations = {e: [] for e in _MU_EXPONENTS}
+    times = {e: [] for e in _MU_EXPONENTS}
     for rep in range(reps):
         rep_seed = _rep_seed(seed, rep)
-        data = generate(Scenario(truth, n=n, noise_sd=0.1, seed=rep_seed))
-        for e in exponents:
+        data = generate(preset("mu-study", seed=rep_seed))
+        for e in _MU_EXPONENTS:
             cfg = FitConfig(mu_target=float(n) ** (-e), restarts_pool=pool, seed=rep_seed)
             t0 = time.perf_counter()
-            res = fit_pool(data, truth.k1, 0, prox, cfg)
+            res = fit_pool(data, truth.k1, 0, _PROX, cfg)
             times[e].append(time.perf_counter() - t0)
             deviations[e].append(param_distance(res.model, truth))
     return [
@@ -107,31 +111,25 @@ def mu_sweep(
             "time_mean_s": float(np.mean(times[e])),
             "reps": reps,
         }
-        for e in exponents
+        for e in _MU_EXPONENTS
     ]
 
 
-def restart_ecdf(
-    n_fits: int = 200,
-    seed: int = 0,
-    mu: float = 0.1,
-    threshold: float = 0.1,
-    prox: str = "sqerr",
-) -> dict:
+def restart_ecdf(n_fits: int = 200, seed: int = 0) -> dict:
     """Deviation of single fits (no pooling) on the broken-stick scenario."""
     truth = preset("broken-stick-200").model
     deviations = []
     for i in range(n_fits):
         rep_seed = _rep_seed(seed, i)
-        data = generate(Scenario(truth, n=200, noise_sd=0.1, seed=rep_seed))
-        cfg = FitConfig(mu_target=mu, restarts_pool=1, seed=rep_seed)
-        res = fit(data, truth.k1, 0, prox, cfg)
+        data = generate(preset("broken-stick-200", seed=rep_seed))
+        cfg = FitConfig(mu_target=_ECDF_MU, restarts_pool=1, seed=rep_seed)
+        res = fit(data, truth.k1, 0, _PROX, cfg)
         deviations.append(param_distance(res.model, truth))
     deviations = np.asarray(deviations)
     return {
         "deviations": deviations.tolist(),
-        "threshold": threshold,
-        "success_fraction": float(np.mean(deviations < threshold)),
+        "threshold": _ECDF_THRESHOLD,
+        "success_fraction": float(np.mean(deviations < _ECDF_THRESHOLD)),
         "n_fits": n_fits,
     }
 
@@ -149,15 +147,7 @@ def _match_to_truth(est_theta: np.ndarray, true_theta: np.ndarray, block: int) -
     return np.array(best_perm)
 
 
-def coverage_study(
-    reps: int = 200,
-    n: int = 200,
-    mu: float = 0.01,
-    pool: int = 10,
-    level: float = 0.95,
-    seed: int = 0,
-    prox: str = "sqerr",
-) -> dict:
+def coverage_study(reps: int = 200, pool: int = 10, seed: int = 0) -> dict:
     """Coverage probabilities and mean lengths of the plug-in confidence
     intervals for the two-line model.
 
@@ -172,12 +162,12 @@ def coverage_study(
     failures = 0
     for rep in range(reps):
         rep_seed = _rep_seed(seed, rep)
-        data = generate(Scenario(truth, n=n, noise_sd=0.1, seed=rep_seed))
-        cfg = FitConfig(mu_target=mu, restarts_pool=pool, seed=rep_seed)
-        res = fit_pool(data, 2, 0, prox, cfg)
+        data = generate(preset("broken-stick-200", seed=rep_seed))
+        cfg = FitConfig(mu_target=_COVERAGE_MU, restarts_pool=pool, seed=rep_seed)
+        res = fit_pool(data, 2, 0, _PROX, cfg)
         try:
             cov = plugin_covariance(res.model, data)
-            ci = confidence_intervals(res, cov, level=level)
+            ci = confidence_intervals(res, cov, level=_COVERAGE_LEVEL)
         except ValueError:
             failures += 1
             continue
@@ -196,25 +186,19 @@ def coverage_study(
         "length_mean": np.mean(lengths, axis=0).tolist(),
         "reps": reps,
         "failures": failures,
-        "level": level,
+        "level": _COVERAGE_LEVEL,
     }
 
 
-def three_planes(
-    n: int = 1000,
-    mu: float = 0.1,
-    pool: int = 10,
-    seed: int = 0,
-    prox: str = "sqerr",
-) -> dict:
+def three_planes(pool: int = 10, seed: int = 0) -> dict:
     """Fit a three-piece convex model to data from the fixed three-plane PWA."""
     truth = THREE_PLANE_MODEL
-    data = generate(Scenario(truth, n=n, noise_sd=0.1, seed=_rep_seed(seed, 0)))
-    cfg = FitConfig(mu_target=mu, restarts_pool=pool, seed=seed)
-    res = fit_pool(data, 3, 0, prox, cfg)
+    data = generate(Scenario(truth, n=_THREE_PLANES_N, noise_sd=0.1, seed=_rep_seed(seed, 0)))
+    cfg = FitConfig(mu_target=_THREE_PLANES_MU, restarts_pool=pool, seed=seed)
+    res = fit_pool(data, 3, 0, _PROX, cfg)
     return {
         "empirical_norm": res.empirical_norm,
         "deviation": param_distance(res.model, truth),
         "converged": res.converged,
-        "n": n,
+        "n": _THREE_PLANES_N,
     }

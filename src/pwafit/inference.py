@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .model import MaxAffine, PwaModel
-from .objective import Dataset, empirical_norm
+from .objective import _UNSMOOTHED, Dataset, empirical_norm
 from .optimizer import FitResult
 from .smoothing import SmoothingSpec, _first_max, smooth_max
 
@@ -39,9 +39,9 @@ class CovarianceEstimate:
     """Sandwich covariance of the two-piece line parameters.
 
     ``M = G'G/n`` is the moment matrix of the rows
-    ``G_i = (w_i1 (x_i, 1), w_i2 (x_i, 1))``.  The plug-in estimate uses
-    hard one-hot piece weights ``w_i``, which is the ``mu -> 0`` limit of
-    the smoothed estimate, so both come from the same code.  ``C`` is the
+    ``G_i = (w_i1 (x_i, 1), w_i2 (x_i, 1))`` with the smoothing weights
+    ``w_i`` of a spec.  The plug-in estimate is the ``mu = 0`` case, whose
+    weights are one-hot on the maximizing piece.  ``C`` is the
     sandwich ``V^-1 W V^-1 = sigma2_hat M^-1``; ``V = 2M`` and
     ``W = 4 sigma2_hat M`` are derived from ``M``.
     """
@@ -89,8 +89,27 @@ def piece_assignment(model: PwaModel, data: Dataset) -> np.ndarray:
     return _first_max(m.part1.piece_values(data.X).T)[1]
 
 
-def _covariance(model: PwaModel, data: Dataset, weights: np.ndarray) -> CovarianceEstimate:
-    """Sandwich covariance from per-point piece weights (n x 2)."""
+def plugin_covariance(model: PwaModel, data: Dataset) -> CovarianceEstimate:
+    """Sandwich covariance for the two-piece convex model via hard piece
+    assignment: the moment matrix is block diagonal, with the per-piece
+    sums of ``[x,1][x,1]'`` scaled by ``1/n`` as its blocks.  This is
+    :func:`smoothed_covariance` at ``mu = 0``.
+    """
+    _two_piece_part(model)
+    counts = np.bincount(piece_assignment(model, data), minlength=2)
+    if np.any(counts == 0):
+        raise ValueError("a piece has no assigned data points")
+    if np.any(counts < data.d + 1):
+        warnings.warn("a piece has fewer than d+1 points; moment block is singular")
+    return smoothed_covariance(model, _UNSMOOTHED, data)
+
+
+def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> CovarianceEstimate:
+    """Sandwich covariance from the per-point smoothing weights of ``spec``;
+    ``mu = 0`` gives hard piece assignment, :func:`plugin_covariance`.
+    """
+    part = _two_piece_part(model)
+    _, weights = smooth_max(part.piece_values(data.X), spec.prox, spec.mu)
     Xaug = np.column_stack([data.X, np.ones(data.n)])
     # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
     G = (weights[:, :, None] * Xaug[:, None, :]).reshape(data.n, -1)
@@ -103,30 +122,6 @@ def _covariance(model: PwaModel, data: Dataset, weights: np.ndarray) -> Covarian
         Minv = np.linalg.inv(M)
     counts = np.bincount(np.argmax(weights, axis=1), minlength=weights.shape[1])
     return CovarianceEstimate(M=M, C=sigma2 * Minv, sigma2_hat=sigma2, segment_counts=counts)
-
-
-def plugin_covariance(model: PwaModel, data: Dataset) -> CovarianceEstimate:
-    """Sandwich covariance for the two-piece convex model via hard piece
-    assignment: the moment matrix is block diagonal, with the per-piece
-    sums of ``[x,1][x,1]'`` scaled by ``1/n`` as its blocks.
-    """
-    _two_piece_part(model)
-    assign = piece_assignment(model, data)
-    counts = np.bincount(assign, minlength=2)
-    if np.any(counts == 0):
-        raise ValueError("a piece has no assigned data points")
-    if np.any(counts < data.d + 1):
-        warnings.warn("a piece has fewer than d+1 points; moment block is singular")
-    return _covariance(model, data, np.eye(2)[assign])
-
-
-def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> CovarianceEstimate:
-    """Covariance with per-point smoothing weights instead of hard piece
-    assignment; converges entrywise to :func:`plugin_covariance` as mu -> 0.
-    """
-    part = _two_piece_part(model)
-    _, weights = smooth_max(part.piece_values(data.X), spec.prox, spec.mu)
-    return _covariance(model, data, weights)
 
 
 def confidence_intervals(

@@ -49,6 +49,9 @@ class Dataset:
         return self.X.shape[1]
 
 
+# The unsmoothed criterion: at mu = 0 either prox gives the exact max.
+_UNSMOOTHED = SmoothingSpec(Prox.SQUARED_ERROR, 0.0)
+
 # Most piece values (members x pieces x points) one stacked kernel call should
 # hold.  Per member, a sqerr value+gradient with k = 2 cost 59/35/21/11 us for
 # 1, 2, 4 and 10 stacked members at n = 200 (d = 1), 88/59/40 us for 1, 2 and 4
@@ -150,34 +153,30 @@ class SmoothedLeastSquares:
         return G[0] if single else G
 
 
-def _kernel(
-    model: PwaModel, spec: SmoothingSpec | None, data: Dataset
-) -> tuple[SmoothedLeastSquares, float]:
+def _kernel(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> SmoothedLeastSquares:
     if model.d != data.d:
         raise ValueError("model and data dimensions disagree")
-    prox, mu = (spec.prox, spec.mu) if spec is not None else (Prox.SQUARED_ERROR, 0.0)
-    return SmoothedLeastSquares(data.X, data.Y, model.k1, model.k2, prox), mu
+    return SmoothedLeastSquares(data.X, data.Y, model.k1, model.k2, spec.prox)
 
 
-def least_squares(model: PwaModel, spec: SmoothingSpec | None, data: Dataset) -> float:
+def least_squares(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> float:
     """Mean squared residual of the smoothed model.
 
-    ``spec=None`` evaluates the unsmoothed criterion, the ``mu = 0`` case
-    of the same kernel (exact maxima); it has no gradient.
+    A ``mu = 0`` spec evaluates the unsmoothed criterion (exact maxima),
+    the same for either prox; it has no gradient.
     """
-    kernel, mu = _kernel(model, spec, data)
-    return kernel.value(pack(model), mu)
+    return _kernel(model, spec, data).value(pack(model), spec.mu)
 
 
 def least_squares_gradient(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> np.ndarray:
     """Exact gradient of :func:`least_squares` in pack layout."""
-    if spec is None:
+    if spec.mu == 0.0:
         raise ValueError("gradient requires a smoothing spec with mu > 0")
-    kernel, mu = _kernel(model, spec, data)
-    kernel.value(pack(model), mu)
+    kernel = _kernel(model, spec, data)
+    kernel.value(pack(model), spec.mu)
     return kernel.gradient()
 
 
 def empirical_norm(model: PwaModel, data: Dataset) -> float:
     """Average squared residual of the unsmoothed model."""
-    return least_squares(model, None, data)
+    return least_squares(model, _UNSMOOTHED, data)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import PwaModel, pack, unpack
-from .objective import Dataset, SmoothedLeastSquares, empirical_norm, least_squares
+from .objective import _UNSMOOTHED, Dataset, SmoothedLeastSquares, empirical_norm, least_squares
 from .smoothing import Prox, SmoothingSpec
 
 __all__ = [
@@ -31,24 +31,24 @@ __all__ = [
 ]
 
 _BOX_LIMIT = 1e4  # parameters beyond this magnitude count as a numerical runaway
+_INIT_RADIUS = 1.0  # random initial points are uniform on [-r, r]^m
 
 
 @dataclass(frozen=True)
 class FitConfig:
     mu_target: float = 0.1
     tolerance: float = 1e-5
-    init_radius: float = 1.0
     max_newton_steps: int = 200
     max_restarts: int = 50
     restarts_pool: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for value in (self.mu_target, self.tolerance, self.init_radius):
+        for value in (self.mu_target, self.tolerance):
             if not np.isfinite(value) or value <= 0:
-                raise ValueError(
-                    "mu_target, tolerance and init_radius must be positive and finite"
-                )
+                raise ValueError("mu_target and tolerance must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.max_newton_steps < 1 or self.max_restarts < 0 or self.restarts_pool < 1:
             raise ValueError("invalid iteration/restart configuration")
 
@@ -362,11 +362,10 @@ def _anneal(
     )
     members = [_Member(rng) for rng in rngs]
     mu = np.empty(len(rngs))
-    r = config.init_radius
 
     def begin_attempt(i: int) -> None:
         m = members[i]
-        m.v, m.trace, m.stage = m.rng.uniform(-r, r, n_free), [], 0
+        m.v, m.trace, m.stage = m.rng.uniform(-_INIT_RADIUS, _INIT_RADIUS, n_free), [], 0
         begin_stage(i)
 
     def begin_stage(i: int) -> None:
@@ -469,13 +468,11 @@ def nelder_mead_fit(
     n_free = _free_size(data, k1, k2)
     if rng is None:
         rng = _default_rng(config.seed)
-    r = config.init_radius
-    x0 = rng.uniform(-r, r, n_free)
-    simplex = np.vstack([x0, x0 + 0.1 * r * np.eye(n_free)])
-    # the unsmoothed criterion is the mu = 0 case of the kernel
-    objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, Prox.SQUARED_ERROR)
+    x0 = rng.uniform(-_INIT_RADIUS, _INIT_RADIUS, n_free)
+    simplex = np.vstack([x0, x0 + 0.1 * _INIT_RADIUS * np.eye(n_free)])
+    objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, _UNSMOOTHED.prox)
     res = minimize(
-        lambda v: objective.value(v, 0.0),
+        lambda v: objective.value(v, _UNSMOOTHED.mu),
         x0,
         method="Nelder-Mead",
         options={
@@ -486,4 +483,4 @@ def nelder_mead_fit(
             "fatol": config.tolerance**2,
         },
     )
-    return _make_result(data, k1, k2, None, res.x, [], 0, bool(res.success))
+    return _make_result(data, k1, k2, _UNSMOOTHED, res.x, [], 0, bool(res.success))

@@ -30,7 +30,11 @@ class Prox(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Prox choice plus smoothing parameter ``mu > 0``."""
+    """Prox choice plus smoothing parameter ``mu >= 0``.
+
+    ``mu = 0`` is the unsmoothed criterion for either prox: the exact max,
+    with one-hot weights on the maximizing piece (see :func:`smooth_max`).
+    """
 
     prox: Prox
     mu: float
@@ -38,8 +42,8 @@ class SmoothingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prox", Prox(self.prox))
         mu = float(self.mu)
-        if not np.isfinite(mu) or mu <= 0.0:
-            raise ValueError("mu must be positive and finite")
+        if not 0.0 <= mu < math.inf:
+            raise ValueError("mu must be finite and >= 0")
         object.__setattr__(self, "mu", mu)
 
 

@@ -194,7 +194,7 @@ def test_criterion_06_restart_success(capsys):
 
 
 def test_criterion_07_coverage(capsys):
-    result = coverage_study(reps=200, n=200, mu=0.01, pool=10, seed=0)
+    result = coverage_study(reps=200, pool=10, seed=0)
     cover = result["coverage"]
     simul = result["simultaneous_coverage"]
     lengths = result["length_mean"]

@@ -227,6 +227,31 @@ def test_ci_bad_level_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_ci_non_numeric_level_message(tmp_path, capsys):
+    code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, 0.0]]), level="abc")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "argument --level: not a number: 'abc'" in err
+    assert "_level" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "broken-stick-200", "--out", "{tmp}/data.csv"],
+        ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--out", "{tmp}/f.json"],
+        ["compare", "--preset", "broken-stick-200", "--out", "{tmp}/compare.csv"],
+        ["experiment", "three-planes", "--outdir", "{tmp}/ex"],
+    ],
+    ids=["simulate", "fit", "compare", "experiment"],
+)
+def test_negative_seed_error_names_the_flag(tmp_path, capsys, argv):
+    assert run(*[str(a).format(tmp=tmp_path) for a in argv], "--seed", -1) == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == []
+
+
 def test_ci_fit_json_without_model_exits_2(tmp_path, capsys):
     data = tmp_path / "plane.csv"
     write_plane_csv(data)
@@ -315,10 +340,12 @@ def test_version_flag():
             "fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--pool", 1, "--out", "{tmp}/f.json",
             "--fitted-csv", "{tmp}/missing/fitted.csv",
         ],
+        ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--seed", -1, "--out", "{tmp}/f.json"],
+        ["experiment", "three-planes", "--seed", -2, "--outdir", "{tmp}/ex"],
     ],
     ids=[
         "experiment-pool-0", "experiment-reps-0", "compare-reps-0", "simulate-no-dir", "fit-no-dir",
-        "fit-csv-no-dir",
+        "fit-csv-no-dir", "fit-seed-negative", "experiment-seed-negative",
     ],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, argv):

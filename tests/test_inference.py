@@ -213,6 +213,16 @@ def test_smoothed_limit_is_plugin():
             a, b = getattr(cov, name), getattr(plug, name)
             denom = max(float(np.max(np.abs(b))), 1e-12)
             assert np.max(np.abs(a - b)) / denom < 1e-5
+    # at mu = 0 the smoothed estimate is the plug-in one, bit for bit; the
+    # second dataset puts a point on the kink, where the tie goes to piece 0
+    x = np.append(np.random.default_rng(6).uniform(-1.0, 1.0, 59), 0.0)
+    for data in (data, Dataset(x, np.abs(x) + 0.1 * np.sin(7.0 * x))):
+        plug = plugin_covariance(ABS_MODEL, data)
+        for prox in Prox:
+            cov = smoothed_covariance(ABS_MODEL, SmoothingSpec(prox, 0.0), data)
+            for name in ("M", "C", "segment_counts"):
+                assert np.array_equal(getattr(cov, name), getattr(plug, name))
+            assert cov.sigma2_hat == plug.sigma2_hat
 
 
 def test_hinge_fit_recovers_exact_on_grid():

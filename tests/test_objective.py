@@ -63,7 +63,7 @@ def test_single_residual_squared():
     model = convex_model([[0.0, 0.0]])
     data = Dataset(np.array([[0.5]]), np.array([2.0]))
     assert least_squares(model, SmoothingSpec(Prox.ENTROPY, 0.1), data) == pytest.approx(4.0)
-    assert least_squares(model, None, data) == pytest.approx(4.0)
+    assert least_squares(model, SmoothingSpec(Prox.SQUARED_ERROR, 0.0), data) == pytest.approx(4.0)
 
 
 def test_value_matches_naive_recomputation():
@@ -76,11 +76,17 @@ def test_value_matches_naive_recomputation():
         assert least_squares(model, spec, data) == pytest.approx(float(naive), abs=1e-12)
 
 
+@pytest.mark.parametrize("prox", list(Prox))
+def test_zero_mu_is_empirical_norm(prox):
+    model, data = random_instance(3)
+    assert least_squares(model, SmoothingSpec(prox, 0.0), data) == empirical_norm(model, data)
+
+
 def test_dimension_mismatch_rejected():
     model = convex_model([[1.0, 0.0]])
     data = Dataset(np.zeros((4, 2)), np.zeros(4))
     with pytest.raises(ValueError):
-        least_squares(model, None, data)
+        least_squares(model, SmoothingSpec(Prox.SQUARED_ERROR, 0.0), data)
     with pytest.raises(ValueError):
         least_squares_gradient(model, SmoothingSpec(Prox.ENTROPY, 0.1), data)
 
@@ -88,7 +94,7 @@ def test_dimension_mismatch_rejected():
 def test_gradient_requires_smoothing():
     model, data = random_instance(7)
     with pytest.raises(ValueError):
-        least_squares_gradient(model, None, data)
+        least_squares_gradient(model, SmoothingSpec(Prox.ENTROPY, 0.0), data)
 
 
 def test_gradient_single_point_affine_block():

@@ -34,12 +34,16 @@ def test_config_validation():
         {"mu_target": np.inf},
         {"tolerance": np.nan},
         {"tolerance": np.inf},
-        {"init_radius": np.nan},
-        {"init_radius": np.inf},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        FitConfig(seed=-1)
+    assert FitConfig(seed=0).seed == 0
 
 
 class QuadraticStack:

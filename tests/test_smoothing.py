@@ -71,11 +71,17 @@ def fd_gradient(fun, x, h=1e-6):
 
 def test_spec_rejects_bad_mu():
     with pytest.raises(ValueError):
-        SmoothingSpec(Prox.ENTROPY, 0.0)
-    with pytest.raises(ValueError):
         SmoothingSpec(Prox.ENTROPY, -1.0)
     with pytest.raises(ValueError):
         SmoothingSpec(Prox.ENTROPY, np.inf)
+    with pytest.raises(ValueError):
+        SmoothingSpec(Prox.ENTROPY, np.nan)
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+def test_spec_accepts_zero_mu(prox):
+    # mu = 0 is the unsmoothed criterion, the exact max of smooth_max
+    assert SmoothingSpec(prox, 0.0).mu == 0.0
 
 
 def test_spec_accepts_string_prox():
