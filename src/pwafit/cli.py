@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -25,9 +26,19 @@ SCHEMA = "pwafit/v1"
 _EXPERIMENTS = ("mu-sweep", "restart-ecdf", "coverage", "three-planes")
 
 
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float replaced by ``None`` (JSON ``null``)."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path, obj) -> None:
+    """Strict JSON: a non-finite float is written as ``null``."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(_finite_or_null(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

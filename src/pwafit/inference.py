@@ -1,5 +1,6 @@
 """Plug-in covariance matrices, normal confidence intervals, and the
-grid-search hinge baseline used in the coverage study.
+grid-search hinge baseline (the exact fit of acceptance criterion 9 and
+the oracle of the broken-stick fit test).
 
 The covariance machinery targets the two-piece convex model (two
 intersecting lines/planes).  Parameters are ordered piece by piece:
@@ -11,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .model import MaxAffine, PwaModel
 from .objective import _UNSMOOTHED, Dataset, empirical_norm
@@ -107,6 +108,7 @@ def plugin_covariance(model: PwaModel, data: Dataset) -> CovarianceEstimate:
 def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> CovarianceEstimate:
     """Sandwich covariance from the per-point smoothing weights of ``spec``;
     ``mu = 0`` gives hard piece assignment, :func:`plugin_covariance`.
+    Raises ``ValueError`` when ``sigma2_hat`` or ``C`` is not finite.
     """
     part = _two_piece_part(model)
     _, weights = smooth_max(part.piece_values(data.X), spec.prox, spec.mu)
@@ -115,13 +117,18 @@ def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> 
     G = (weights[:, :, None] * Xaug[:, None, :]).reshape(data.n, -1)
     M = G.T @ G / data.n
     sigma2 = empirical_norm(model, data)
+    if not np.isfinite(sigma2):
+        raise ValueError(f"non-finite covariance: sigma2_hat is {sigma2}")
     if np.linalg.cond(M) > _COND_LIMIT:
         warnings.warn("singular moment matrix; using pseudo-inverse")
         Minv = np.linalg.pinv(M)
     else:
         Minv = np.linalg.inv(M)
+    C = sigma2 * Minv
+    if not np.all(np.isfinite(C)):
+        raise ValueError("non-finite covariance: C has a non-finite entry")
     counts = np.bincount(np.argmax(weights, axis=1), minlength=weights.shape[1])
-    return CovarianceEstimate(M=M, C=sigma2 * Minv, sigma2_hat=sigma2, segment_counts=counts)
+    return CovarianceEstimate(M=M, C=C, sigma2_hat=sigma2, segment_counts=counts)
 
 
 def confidence_intervals(
@@ -148,7 +155,7 @@ def confidence_intervals(
     empty = np.flatnonzero(N == 0)
     if empty.size:
         raise ValueError(f"no data points on the piece owning parameter {empty[0]}")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     half = z * np.sqrt(np.maximum(np.diag(cov.C), 0.0) / N)
     return ConfidenceIntervals(lower=theta - half, upper=theta + half, level=level)
 

@@ -80,10 +80,13 @@ class SmoothedLeastSquares:
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, k1: int, k2: int, prox: Prox):
+        if k1 < 1 or k2 < 0:
+            raise ValueError("k1 must be >= 1 and k2 >= 0")
         self.X, self.Y = X, Y
         # piece values are formed piece-major, (k, n), from one contiguous X'
         self.XT = np.ascontiguousarray(X.T)
         self.k1, self.k2, self.d = k1, k2, X.shape[1]
+        self.size = (k1 + k2) * (self.d + 1)  # the length of theta
         self.prox = prox
         self.members_per_call = max(1, _STACK_PIECE_VALUES // ((k1 + k2) * X.shape[0]))
         self._cache = None

@@ -89,7 +89,9 @@ class _LockstepBfgs:
     ``per_call`` of them as one ``(len(members), m)`` stack;
     ``gradient(rows)`` then returns the gradients at the given rows of that
     stack, so gradients are formed only at start and accepted points, while
-    the stack's values are still in cache.  Every member keeps its own
+    the stack's values are still in cache.  A start is step 0: a zero step
+    to the start point, accepted whatever its value, through the same
+    accept path as every other step.  Every member keeps its own
     iterate, inverse Hessian, Armijo step, step count and status, so it
     takes exactly the steps it would take alone.
 
@@ -98,7 +100,7 @@ class _LockstepBfgs:
     """
 
     _ROW_STATE = ("ids", "x", "trial", "tp", "g", "p", "H", "f", "gp", "t", "backtracks",
-                  "step", "starting", "alive")
+                  "step", "alive")
 
     def __init__(self, members: int, size: int, tol: float, max_steps: int, per_call: int):
         self.tol, self.max_steps, self.per_call = tol, max_steps, per_call
@@ -114,7 +116,6 @@ class _LockstepBfgs:
         self.t = np.ones(members)
         self.backtracks = np.zeros(members, dtype=int)
         self.step = np.zeros(members, dtype=int)
-        self.starting = np.zeros(members, dtype=bool)
         self.alive = np.zeros(members, dtype=bool)
         self._ended: list[tuple[int, np.ndarray, float, str, int]] = []
 
@@ -126,8 +127,10 @@ class _LockstepBfgs:
         """Begin a run of member ``i`` from ``x0``; ``i`` must still hold a
         row, so a member is started again in the round its run ended."""
         row = int(np.searchsorted(self.ids, i))
-        self.trial[row] = x0
-        self.starting[row] = self.alive[row] = True
+        # the start is step 0: a zero step to x0 with the identity as H
+        self.trial[row], self.tp[row], self.H[row] = x0, 0.0, np.eye(self.x.shape[1])
+        self.step[row] = 0
+        self.alive[row] = True
 
     def round(self, value, gradient) -> list[tuple[int, np.ndarray, float, str, int]]:
         """Advance every running member by one evaluation.
@@ -145,7 +148,7 @@ class _LockstepBfgs:
             rows = slice(lo, lo + self.per_call)
             ft = value(self.ids[rows], self.trial[rows])
             armijo = np.isfinite(ft) & (ft <= self.f[rows] + 1e-4 * self.t[rows] * self.gp[rows])
-            accepted = self.starting[rows] | armijo
+            accepted = (self.step[rows] == 0) | armijo
             G = gradient(accepted.nonzero()[0]) if _count(accepted) else None
             calls.append((ft, accepted, G))
         if len(calls) == 1:
@@ -158,17 +161,10 @@ class _LockstepBfgs:
         n_acc = _count(accepted)
         if n_acc < accepted.size:
             self._reject((~accepted).nonzero()[0])
-        if n_acc:
-            if _count(self.starting):
-                starting = self.starting.copy()
-                st = starting[accepted]
-                self._begin(starting.nonzero()[0], ft[starting], G[st])
-                G, accepted = G[~st], accepted & ~starting
-                n_acc = G.shape[0]
-            if n_acc == accepted.size:
-                self._accept(slice(None), ft, G)
-            elif n_acc:
-                self._accept(accepted.nonzero()[0], ft[accepted], G)
+        if n_acc == accepted.size:
+            self._accept(slice(None), ft, G)
+        elif n_acc:
+            self._accept(accepted.nonzero()[0], ft[accepted], G)
         # the next trial of every running member; a new direction has t = 1
         self.tp = self.t[:, None] * self.p
         self.trial = self.x + self.tp
@@ -181,27 +177,22 @@ class _LockstepBfgs:
             self._ended.append((member, x, f, status, int(n)))
         self.alive[rows] = False
 
-    def _begin(self, rows, f0, g0) -> None:
-        """First evaluation of a run: its start point is its first iterate."""
-        self.starting[rows] = False
-        self.x[rows], self.f[rows], self.g[rows] = self.trial[rows], f0, g0
-        gmax = np.maximum.reduce(np.abs(g0), axis=1)
-        ok = np.isfinite(f0) & (gmax < np.inf)
-        if _count(ok) < ok.size:
-            self._end(rows[~ok], "instability", 0)
-            rows, g0, gmax = rows[ok], g0[ok], gmax[ok]
-        self.H[rows] = np.eye(self.x.shape[1])
-        self.step[rows] = 1
-        self._direction(rows, g0, self.H[rows], gmax)
-
     def _accept(self, rows, fn, gn) -> None:
-        """Accepted trial points: the runaway test, the inverse-Hessian
-        update, and the convergence and step-limit tests."""
+        """Accepted trial points and start points: the runaway test, the
+        inverse-Hessian update, and the convergence and step-limit tests.  A
+        start's zero step takes no update."""
         xn = self.trial[rows]
         gmax = np.maximum.reduce(np.abs(gn), axis=1)
         absx = np.abs(xn)
-        if not (np.maximum.reduce(gmax) < np.inf and np.maximum.reduce(absx, axis=None) <= _BOX_LIMIT):
-            bad = ~(gmax < np.inf) | (np.maximum.reduce(absx, axis=1) > _BOX_LIMIT)
+        # only a start can have a non-finite value (the Armijo test rejects
+        # one), and a start is not held to the box
+        if not (
+            math.isfinite(np.add.reduce(fn))
+            and np.maximum.reduce(gmax) < np.inf
+            and np.maximum.reduce(absx, axis=None) <= _BOX_LIMIT
+        ):
+            out = (np.maximum.reduce(absx, axis=1) > _BOX_LIMIT) & (self.step[rows] > 0)
+            bad = ~(np.isfinite(fn) & (gmax < np.inf)) | out
             worse = _sub(rows, bad)
             self.x[worse], self.f[worse] = xn[bad], fn[bad]
             self._end(worse, "instability", self.step[worse])
@@ -301,14 +292,6 @@ def _default_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(index))))
 
 
-def _free_size(data: Dataset, k1: int, k2: int) -> int:
-    """Length of the optimized vector; ``k2 = 0`` pins part2 to the zero
-    part and leaves it out."""
-    if k1 < 1 or k2 < 0:
-        raise ValueError("k1 must be >= 1 and k2 >= 0")
-    return (k1 + k2) * (data.d + 1)
-
-
 def _make_result(data, k1, k2, spec, v_free, trace, restarts, converged) -> FitResult:
     v = np.asarray(v_free, dtype=float)
     full = np.concatenate([v, np.zeros(data.d + 1)]) if k2 == 0 else v
@@ -354,18 +337,17 @@ def _anneal(
     other members, at whatever stage each member is.  Member ``i``'s result
     is the one a pool of one with rng ``rngs[i]`` gives.
     """
-    n_free = _free_size(data, k1, k2)
-    stages = anneal_schedule(spec.mu)
     kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, spec.prox)
+    stages = anneal_schedule(spec.mu)
     bfgs = _LockstepBfgs(
-        len(rngs), n_free, config.tolerance, config.max_newton_steps, kernel.members_per_call
+        len(rngs), kernel.size, config.tolerance, config.max_newton_steps, kernel.members_per_call
     )
     members = [_Member(rng) for rng in rngs]
     mu = np.empty(len(rngs))
 
     def begin_attempt(i: int) -> None:
         m = members[i]
-        m.v, m.trace, m.stage = m.rng.uniform(-_INIT_RADIUS, _INIT_RADIUS, n_free), [], 0
+        m.v, m.trace, m.stage = m.rng.uniform(-_INIT_RADIUS, _INIT_RADIUS, kernel.size), [], 0
         begin_stage(i)
 
     def begin_stage(i: int) -> None:
@@ -399,7 +381,7 @@ def _anneal(
                 begin_attempt(i)
                 continue
             if m.best is None:
-                zero = np.zeros(n_free)
+                zero = np.zeros(kernel.size)
                 m.best = _make_result(data, k1, k2, spec, zero, [], config.max_restarts, False)
             m.best.restarts_used = config.max_restarts
             m.result = m.best
@@ -465,12 +447,12 @@ def nelder_mead_fit(
     rng: np.random.Generator | None = None,
 ) -> FitResult:
     """Gradient-free baseline: Nelder-Mead on the unsmoothed criterion."""
-    n_free = _free_size(data, k1, k2)
+    objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, _UNSMOOTHED.prox)
+    n_free = objective.size
     if rng is None:
         rng = _default_rng(config.seed)
     x0 = rng.uniform(-_INIT_RADIUS, _INIT_RADIUS, n_free)
     simplex = np.vstack([x0, x0 + 0.1 * _INIT_RADIUS * np.eye(n_free)])
-    objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, _UNSMOOTHED.prox)
     res = minimize(
         lambda v: objective.value(v, _UNSMOOTHED.mu),
         x0,

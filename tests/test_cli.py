@@ -295,6 +295,40 @@ def test_ci_empty_piece_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def write_huge_csv(path):
+    # the squared residuals of any fit overflow, so no value is finite
+    x = np.linspace(-1, 1, 50)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), (1e200 * np.abs(x)).tolist()))
+    path.write_text("x1,y\n" + rows)
+
+
+def strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_non_finite_fit_writes_strict_json(tmp_path):
+    data, out = tmp_path / "huge.csv", tmp_path / "huge.json"
+    write_huge_csv(data)
+    with np.errstate(over="ignore"):
+        assert run("fit", "--in", data, "--k1", 2, "--pool", 1, "--out", out) == 3
+    payload = strict_json(out)
+    assert payload["empirical_norm"] is None and payload["objective_value"] is None
+    assert strict_json(tmp_path / "huge.json.manifest.json")["command"] == "fit"
+
+
+def test_ci_non_finite_covariance_exits_3(tmp_path, capsys):
+    data, fit_out, out = tmp_path / "huge.csv", tmp_path / "huge.json", tmp_path / "hci.json"
+    write_huge_csv(data)
+    with np.errstate(over="ignore"):
+        run("fit", "--in", data, "--k1", 2, "--pool", 1, "--out", fit_out)
+        assert run("ci", "--in", data, "--fit", fit_out, "--out", out) == 3
+    assert "non-finite covariance" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "hci.json.manifest.json").exists()
+
+
 def test_compare_table_shape(tmp_path):
     out = tmp_path / "compare.csv"
     code = run(
@@ -372,3 +406,14 @@ def test_module_entry_exit_status(tmp_path):
     out = tmp_path / "f.json"
     assert status("fit", "--in", tmp_path / "plane.csv", "--k1", 1, "--pool", 0, "--out", out) == 2
     assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_out():
+    # the interval quantile is scipy.special.ndtri; scipy.stats is a large import
+    paths = [str(Path(pwafit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import sys, pwafit, pwafit.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0 and res.stdout.strip() == "False"

@@ -167,6 +167,22 @@ def test_empty_piece_rejected():
         plugin_covariance(ABS_MODEL, data)
 
 
+def test_non_finite_covariance_rejected():
+    # squared residuals of about 1e400 overflow sigma2_hat; residuals of
+    # 1e153 leave it finite, but C = sigma2_hat M^-1 overflows
+    x = np.linspace(-1.0, 1.0, 50)
+    huge_sigma2 = Dataset(x, 1e200 * np.abs(x))
+    small_x = np.linspace(-0.01, 0.01, 20)
+    huge_C = Dataset(small_x, np.full(20, 1e153))
+    for data, what in ((huge_sigma2, "sigma2_hat"), (huge_C, "C")):
+        for covariance in (
+            lambda: plugin_covariance(ABS_MODEL, data),
+            lambda: smoothed_covariance(ABS_MODEL, SmoothingSpec(Prox.ENTROPY, 0.1), data),
+        ):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match=what):
+                covariance()
+
+
 def test_small_piece_warns():
     data = Dataset(np.array([0.5, 0.6, -0.5]), np.abs([0.5, 0.6, -0.5]))
     with pytest.warns(UserWarning):

@@ -231,6 +231,18 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     linear.A[:], linear.a[:], linear.c[:], linear.r[:] = 0.0, 0.0, 0.0, np.inf
     linear.b *= 3e3
     cases.append((linear, rng.uniform(-1, 1, (2, 3)), 1e-8, 50, 1))
+    # start outcomes: a start at the minimizer (b = A x0 exactly, so g = 0)
+    # converges at step 0; inside the box, a quartic term of 1e301 sum(x^4)
+    # overflows a start value while its gradient is finite; a start beyond
+    # the box is not held to it, so the linear member takes one step from
+    # there and ends then.  The first two also run without the third, which
+    # sends every start of its round through the runaway test's full check.
+    starts = QuarticStack(rng, 3, 3)
+    starts.A[:] = [np.diag([2.0, 4.0, 8.0]), np.diag([2.0, 4.0, 8.0]), np.zeros((3, 3))]
+    starts.b[:] = [[1.0, -5.0, 24.0], [1.0, -5.0, 24.0], [1.0, -1.0, 1.0]]
+    starts.a[:], starts.c[:], starts.r[:] = [0.0, 1e301, 0.0], 0.0, np.inf
+    X0 = np.array([[0.5, -1.25, 3.0], [100.0, 100.0, 100.0], [2e4, -2e4, 2e4]])
+    cases += [(starts, X0[:2], 1e-8, 20, 2), (starts, X0, 1e-8, 20, 3)]
     if start_H == "negated identity":
         eye = np.eye
         monkeypatch.setattr(np, "eye", lambda n, *a, **k: -eye(n, *a, **k))
@@ -248,7 +260,8 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
                 assert f == want[1] or (np.isnan(f) and np.isnan(want[1]))
                 assert (status, steps) == want[2:]
                 statuses.add(status)
-    # each way out of a run is taken (no member converges from a negated start)
+    # each way out of a run is taken (from a negated start, only a member
+    # that starts at its minimizer converges)
     expected = {"converged", "maxiter", "instability"} if start_H == "identity" else set()
     assert statuses >= expected | {"maxiter", "instability"}
 
