@@ -156,6 +156,8 @@ def _cmd_ci(args):
         raise ValueError("the fit JSON must be an object whose 'model' entry is an object")
     model = model_from_json_dict(model_obj)
     theta = line_parameters(model)
+    if model.d != data.d:
+        raise ValueError(f"the fit has dimension {model.d}, but the data have dimension {data.d}")
     try:
         cov = plugin_covariance(model, data)
     except ValueError as exc:

@@ -61,7 +61,8 @@ def compare_methods(
     on freshly generated datasets from a preset."""
     base = preset(preset_name, seed=seed)
     k1 = base.model.k1
-    k2 = 0
+    # a one-piece part2 is affine, so k2 = 0 fits the same class
+    k2 = base.model.k2 if base.model.k2 > 1 else 0
     stats = {"smoothed": ([], []), "nelder-mead": ([], [])}
     for rep in range(reps):
         rep_seed = _rep_seed(seed, rep)

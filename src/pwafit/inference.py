@@ -96,22 +96,25 @@ def plugin_covariance(model: PwaModel, data: Dataset) -> CovarianceEstimate:
     sums of ``[x,1][x,1]'`` scaled by ``1/n`` as its blocks.  This is
     :func:`smoothed_covariance` at ``mu = 0``.
     """
-    _two_piece_part(model)
-    counts = np.bincount(piece_assignment(model, data), minlength=2)
-    if np.any(counts == 0):
-        raise ValueError("a piece has no assigned data points")
-    if np.any(counts < data.d + 1):
-        warnings.warn("a piece has fewer than d+1 points; moment block is singular")
     return smoothed_covariance(model, _UNSMOOTHED, data)
 
 
 def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> CovarianceEstimate:
     """Sandwich covariance from the per-point smoothing weights of ``spec``;
     ``mu = 0`` gives hard piece assignment, :func:`plugin_covariance`.
-    Raises ``ValueError`` when ``sigma2_hat`` or ``C`` is not finite.
+
+    A piece's support is the number of points where its weight is positive.
+    Raises ``ValueError`` when a piece has no support, or when
+    ``sigma2_hat`` or ``C`` is not finite; warns when a support is below
+    ``d + 1``, which makes that piece's moment block singular.
     """
     part = _two_piece_part(model)
     _, weights = smooth_max(part.piece_values(data.X), spec.prox, spec.mu)
+    support = np.count_nonzero(weights > 0, axis=0)
+    if np.any(support == 0):
+        raise ValueError("a piece has no assigned data points")
+    if np.any(support < data.d + 1):
+        warnings.warn("a piece has fewer than d+1 points; moment block is singular")
     Xaug = np.column_stack([data.X, np.ones(data.n)])
     # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
     G = (weights[:, :, None] * Xaug[:, None, :]).reshape(data.n, -1)

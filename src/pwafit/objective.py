@@ -116,7 +116,10 @@ class SmoothedLeastSquares:
             weights.append((W2, -1.0))
         np.subtract(self.Y, R, out=R)
         self._cache = (single, weights, R)
-        values = np.add.reduce(R * R, axis=1) / R.shape[1]
+        # an overflowing square is an infinite value, which every caller
+        # handles; numpy's warning about it would only reach the user
+        with np.errstate(over="ignore"):
+            values = np.add.reduce(R * R, axis=1) / R.shape[1]
         return float(values[0]) if single else values
 
     def gradient(self, rows: np.ndarray | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import PwaModel, pack, unpack
-from .objective import _UNSMOOTHED, Dataset, SmoothedLeastSquares, empirical_norm, least_squares
+from .objective import _UNSMOOTHED, Dataset, SmoothedLeastSquares
 from .smoothing import Prox, SmoothingSpec
 
 __all__ = [
@@ -71,10 +71,11 @@ def anneal_schedule(mu: float) -> list[float]:
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
+    # ldexp scales by a power of two exactly, and 2^m0 itself may overflow
     m0 = 0
-    while (2.0**m0) * mu <= 1.0:
+    while math.ldexp(mu, m0) <= 1.0:
         m0 += 1
-    return [(2.0 ** (m0 - m)) * mu for m in range(m0 + 1)]
+    return [math.ldexp(mu, m0 - m) for m in range(m0 + 1)]
 
 
 _MAX_BACKTRACKS = 60
@@ -292,15 +293,19 @@ def _default_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(index))))
 
 
-def _make_result(data, k1, k2, spec, v_free, trace, restarts, converged) -> FitResult:
+def _make_result(kernel, spec, v_free, trace, restarts, converged) -> FitResult:
+    # the value calls replace the kernel's cache; the engine forms every
+    # gradient within round, so a result made between rounds is safe
     v = np.asarray(v_free, dtype=float)
-    full = np.concatenate([v, np.zeros(data.d + 1)]) if k2 == 0 else v
-    model = unpack(full, k1, max(k2, 1), data.d).normalize()
+    full = np.concatenate([v, np.zeros(kernel.d + 1)]) if kernel.k2 == 0 else v
+    model = unpack(full, kernel.k1, max(kernel.k2, 1), kernel.d).normalize()
+    theta = pack(model)
+    free = theta[: kernel.size]  # k2 = 0 leaves the pinned zero part out
     return FitResult(
-        theta_hat=pack(model),
+        theta_hat=theta,
         model=model,
-        objective_value=least_squares(model, spec, data),
-        empirical_norm=empirical_norm(model, data),
+        objective_value=kernel.value(free, spec.mu),
+        empirical_norm=kernel.value(free, 0.0),
         anneal_trace=list(trace),
         restarts_used=restarts,
         converged=converged,
@@ -369,11 +374,12 @@ def _anneal(
                 if m.stage < len(stages):
                     begin_stage(i)
                 else:
-                    m.result = _make_result(data, k1, k2, spec, x, m.trace, m.attempt, True)
+                    m.result = _make_result(kernel, spec, x, m.trace, m.attempt, True)
                 continue
             v = x if np.all(np.isfinite(x)) else m.v
             if np.all(np.isfinite(v)) and np.max(np.abs(v)) <= _BOX_LIMIT:
-                candidate = _make_result(data, k1, k2, spec, v, m.trace, m.attempt, False)
+                # a failed attempt is returned only once every attempt failed
+                candidate = _make_result(kernel, spec, v, m.trace, config.max_restarts, False)
                 if m.best is None or candidate.empirical_norm < m.best.empirical_norm:
                     m.best = candidate
             m.attempt += 1
@@ -382,8 +388,7 @@ def _anneal(
                 continue
             if m.best is None:
                 zero = np.zeros(kernel.size)
-                m.best = _make_result(data, k1, k2, spec, zero, [], config.max_restarts, False)
-            m.best.restarts_used = config.max_restarts
+                m.best = _make_result(kernel, spec, zero, [], config.max_restarts, False)
             m.result = m.best
     return [m.result for m in members]
 
@@ -465,4 +470,4 @@ def nelder_mead_fit(
             "fatol": config.tolerance**2,
         },
     )
-    return _make_result(data, k1, k2, _UNSMOOTHED, res.x, [], 0, bool(res.success))
+    return _make_result(objective, _UNSMOOTHED, res.x, [], 0, bool(res.success))

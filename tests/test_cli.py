@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,14 @@ def test_ci_non_two_piece_fit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ci_dimension_mismatch_exits_2(tmp_path, capsys):
+    # a two-plane fit of d = 2 data, given the d = 1 data of run_ci
+    code, out = run_ci(tmp_path, convex_model([[1.0, 0.5, 0.0], [-1.0, 0.2, 0.1]]))
+    assert code == 2
+    assert "the fit has dimension 2, but the data have dimension 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ci_empty_piece_exits_3(tmp_path, capsys):
     # the second line lies below the first on all of [-1, 1]
     code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, -10.0]]))
@@ -312,7 +321,9 @@ def strict_json(path):
 def test_non_finite_fit_writes_strict_json(tmp_path):
     data, out = tmp_path / "huge.csv", tmp_path / "huge.json"
     write_huge_csv(data)
-    with np.errstate(over="ignore"):
+    # no numpy warning reaches the user
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert run("fit", "--in", data, "--k1", 2, "--pool", 1, "--out", out) == 3
     payload = strict_json(out)
     assert payload["empirical_norm"] is None and payload["objective_value"] is None
@@ -322,7 +333,8 @@ def test_non_finite_fit_writes_strict_json(tmp_path):
 def test_ci_non_finite_covariance_exits_3(tmp_path, capsys):
     data, fit_out, out = tmp_path / "huge.csv", tmp_path / "huge.json", tmp_path / "hci.json"
     write_huge_csv(data)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         run("fit", "--in", data, "--k1", 2, "--pool", 1, "--out", fit_out)
         assert run("ci", "--in", data, "--fit", fit_out, "--out", out) == 3
     assert "non-finite covariance" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 import pwafit.experiments as experiments
@@ -24,6 +26,22 @@ def test_coverage_summaries_leave_failed_reps_out(monkeypatch):
     for key in ("coverage", "simultaneous_coverage"):
         assert result[key] == baseline[key]
     assert result["length_mean"] == pytest.approx(baseline["length_mean"], rel=1e-12)
+
+
+def test_compare_fits_the_preset_model_class(monkeypatch):
+    shapes = []
+
+    def record(data, k1, k2, prox, config, method="anneal"):
+        shapes.append((k1, k2))
+        return SimpleNamespace(empirical_norm=0.0)
+
+    monkeypatch.setattr(experiments, "fit_pool", record)
+    # three lines minus two lines keeps k2 = 2; the convex stick's trivial
+    # part2 is affine, so it is fitted with k2 = 0
+    for name, shape in (("broken-stick-500", (3, 2)), ("broken-stick-200", (2, 0))):
+        shapes.clear()
+        experiments.compare_methods(name, reps=1, pool=1)
+        assert shapes == [shape, shape]  # the smoothed fit and Nelder-Mead
 
 
 # Study numbers recorded before the studies' unused settings became constants

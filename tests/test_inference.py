@@ -70,27 +70,39 @@ def test_plugin_moment_blocks_hand_computed():
     assert cov.sigma2_hat == pytest.approx(0.0)
 
 
-def test_plugin_matches_per_piece_block_oracle():
-    scenario = preset("planes-d2", seed=4)
-    data = generate(scenario)
-    cov = plugin_covariance(scenario.model, data)
-    # independent oracle: one moment block and one inverse per piece
-    assign = piece_assignment(scenario.model, data)
+def block_oracle(model, data):
+    """Plug-in ``(M, C, sigma2_hat, counts)`` of a two-piece convex model,
+    one moment block and one inverse per piece, with ``argmax`` over its
+    piece values as the assignment."""
+    assign = model.normalize().part1.piece_values(data.X).argmax(axis=1)
     Xaug = np.column_stack([data.X, np.ones(data.n)])
     q = Xaug.shape[1]
     blocks = [Xaug[assign == j].T @ Xaug[assign == j] / data.n for j in range(2)]
-    r = data.Y - scenario.model.evaluate(data.X)
+    r = data.Y - model.evaluate(data.X)
     sigma2 = np.sum(r * r) / data.n
     M = np.zeros((2 * q, 2 * q))
     C = np.zeros((2 * q, 2 * q))
     for j, S in enumerate(blocks):
         M[j * q : (j + 1) * q, j * q : (j + 1) * q] = S
         C[j * q : (j + 1) * q, j * q : (j + 1) * q] = sigma2 * np.linalg.inv(S)
+    return M, C, sigma2, np.bincount(assign, minlength=2)
+
+
+def assert_matches_block_oracle(cov, model, data):
+    M, C, sigma2, counts = block_oracle(model, data)
+    q = data.d + 1
     assert np.all(cov.M[:q, q:] == 0.0) and np.all(cov.M[q:, :q] == 0.0)
     assert np.max(np.abs(cov.M - M)) <= 1e-12 * np.max(np.abs(M))
     assert np.max(np.abs(cov.C - C)) <= 1e-12 * np.max(np.abs(C))
     assert cov.sigma2_hat == pytest.approx(sigma2, rel=1e-12)
-    assert cov.segment_counts.tolist() == np.bincount(assign).tolist()
+    assert cov.segment_counts.tolist() == counts.tolist()
+
+
+def test_plugin_matches_per_piece_block_oracle():
+    scenario = preset("planes-d2", seed=4)
+    data = generate(scenario)
+    cov = plugin_covariance(scenario.model, data)
+    assert_matches_block_oracle(cov, scenario.model, data)
 
 
 def test_sandwich_identities():
@@ -229,16 +241,21 @@ def test_smoothed_limit_is_plugin():
             a, b = getattr(cov, name), getattr(plug, name)
             denom = max(float(np.max(np.abs(b))), 1e-12)
             assert np.max(np.abs(a - b)) / denom < 1e-5
-    # at mu = 0 the smoothed estimate is the plug-in one, bit for bit; the
-    # second dataset puts a point on the kink, where the tie goes to piece 0
+    # at mu = 0 either prox gives the per-piece block estimate; the second
+    # dataset puts a point on the kink, where the tie goes to piece 0
     x = np.append(np.random.default_rng(6).uniform(-1.0, 1.0, 59), 0.0)
     for data in (data, Dataset(x, np.abs(x) + 0.1 * np.sin(7.0 * x))):
-        plug = plugin_covariance(ABS_MODEL, data)
         for prox in Prox:
             cov = smoothed_covariance(ABS_MODEL, SmoothingSpec(prox, 0.0), data)
-            for name in ("M", "C", "segment_counts"):
-                assert np.array_equal(getattr(cov, name), getattr(plug, name))
-            assert cov.sigma2_hat == plug.sigma2_hat
+            assert_matches_block_oracle(cov, ABS_MODEL, data)
+
+
+def test_smoothed_piece_without_support_rejected():
+    # every point lies more than mu from the kink on the first piece's side,
+    # so the sqerr weight of the second piece is exactly 0 everywhere
+    data = Dataset(np.array([0.5, 0.6, 0.7, 0.8]), np.array([0.5, 0.6, 0.7, 0.8]))
+    with pytest.raises(ValueError, match="no assigned data points"):
+        smoothed_covariance(ABS_MODEL, SmoothingSpec(Prox.SQUARED_ERROR, 0.01), data)
 
 
 def test_hinge_fit_recovers_exact_on_grid():

@@ -21,6 +21,9 @@ def test_anneal_schedule_examples():
     assert anneal_schedule(0.1) == [1.6, 0.8, 0.4, 0.2, 0.1]
     assert anneal_schedule(2.0) == [2.0]
     assert anneal_schedule(0.5) == [2.0, 1.0, 0.5]
+    # the smallest subnormal needs m0 = 1075, past where 2.0**m0 overflows
+    tiny = anneal_schedule(5e-324)
+    assert len(tiny) == 1076 and tiny[-1] == 5e-324 and 1.0 < tiny[0] <= 2.0
     with pytest.raises(ValueError):
         anneal_schedule(0.0)
 
