@@ -35,7 +35,6 @@ from .inference import (
     confidence_intervals,
     hinge_fit_1d,
     line_parameters,
-    piece_assignment,
     plugin_covariance,
     smoothed_covariance,
 )

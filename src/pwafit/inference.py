@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import MaxAffine, PwaModel
-from .objective import _UNSMOOTHED, Dataset, empirical_norm
+from .model import PwaModel, pack
+from .objective import _UNSMOOTHED, Dataset, _kernel
 from .optimizer import FitResult
-from .smoothing import SmoothingSpec, _first_max, smooth_max
+from .smoothing import SmoothingSpec
 
 __all__ = [
     "CovarianceEstimate",
@@ -25,7 +25,6 @@ __all__ = [
     "Hinge1D",
     "Hinge2D",
     "line_parameters",
-    "piece_assignment",
     "plugin_covariance",
     "smoothed_covariance",
     "confidence_intervals",
@@ -68,26 +67,17 @@ class ConfidenceIntervals:
     level: float
 
 
-def _two_piece_part(model: PwaModel) -> MaxAffine:
-    """The convex part of the normalised model, which must have two pieces."""
+def _two_piece_model(model: PwaModel) -> PwaModel:
+    """The normalised model, which must have a two-piece convex part."""
     m = model.normalize()
     if m.k1 != 2 or m.k2 != 1:
         raise ValueError("a two-piece convex model (k1=2, trivial part2) is required")
-    return m.part1
+    return m
 
 
 def line_parameters(model: PwaModel) -> np.ndarray:
     """Flat parameter vector (a_1, b_1, a_2, b_2) of the two-piece model."""
-    return _two_piece_part(model).coeffs.ravel()
-
-
-def piece_assignment(model: PwaModel, data: Dataset) -> np.ndarray:
-    """Index of the affine piece attaining the max at each point.
-
-    Ties go to the lower-indexed piece.
-    """
-    m = model.normalize()
-    return _first_max(m.part1.piece_values(data.X).T)[1]
+    return _two_piece_model(model).part1.coeffs.ravel()
 
 
 def plugin_covariance(model: PwaModel, data: Dataset) -> CovarianceEstimate:
@@ -103,13 +93,20 @@ def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> 
     """Sandwich covariance from the per-point smoothing weights of ``spec``;
     ``mu = 0`` gives hard piece assignment, :func:`plugin_covariance`.
 
-    A piece's support is the number of points where its weight is positive.
-    Raises ``ValueError`` when a piece has no support, or when
+    ``sigma2_hat`` and ``segment_counts`` come from the ``mu = 0`` pass for
+    every spec.  A piece's support is the number of points where its weight
+    is positive.  Raises ``ValueError`` when a piece has no support, or when
     ``sigma2_hat`` or ``C`` is not finite; warns when a support is below
     ``d + 1``, which makes that piece's moment block singular.
     """
-    part = _two_piece_part(model)
-    _, weights = smooth_max(part.piece_values(data.X), spec.prox, spec.mu)
+    m = _two_piece_model(model)
+    kernel, theta = _kernel(m, spec, data), pack(m)
+    sigma2 = kernel.value(theta, 0.0)
+    # the one-hot mu = 0 weights count the paper's N_j, the points on piece j
+    counts = np.count_nonzero(kernel.weights, axis=0)
+    if spec.mu > 0.0:
+        kernel.value(theta, spec.mu)
+    weights = kernel.weights
     support = np.count_nonzero(weights > 0, axis=0)
     if np.any(support == 0):
         raise ValueError("a piece has no assigned data points")
@@ -119,7 +116,6 @@ def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> 
     # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
     G = (weights[:, :, None] * Xaug[:, None, :]).reshape(data.n, -1)
     M = G.T @ G / data.n
-    sigma2 = empirical_norm(model, data)
     if not np.isfinite(sigma2):
         raise ValueError(f"non-finite covariance: sigma2_hat is {sigma2}")
     if np.linalg.cond(M) > _COND_LIMIT:
@@ -130,7 +126,6 @@ def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> 
     C = sigma2 * Minv
     if not np.all(np.isfinite(C)):
         raise ValueError("non-finite covariance: C has a non-finite entry")
-    counts = np.bincount(np.argmax(weights, axis=1), minlength=weights.shape[1])
     return CovarianceEstimate(M=M, C=C, sigma2_hat=sigma2, segment_counts=counts)
 
 

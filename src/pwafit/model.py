@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +182,21 @@ def model_to_json_dict(model: PwaModel) -> dict:
     }
 
 
+def _json_part(obj: dict, key: str) -> MaxAffine:
+    """The part whose coefficient rows ``obj[key]`` holds, as JSON numbers."""
+    rows = obj[key]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"model entry {key} must be a list of rows")
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            # no bool, string or object; an int may lie beyond the floats
+            if type(v) not in (int, float) or abs(v) > sys.float_info.max:
+                raise ValueError(f"model entry {key}[{i}][{j}] must be a number in float range")
+    return MaxAffine(np.array(rows, dtype=float))
+
+
 def model_from_json_dict(obj: dict) -> PwaModel:
-    model = PwaModel(MaxAffine(np.array(obj["coeffs1"])), MaxAffine(np.array(obj["coeffs2"])))
+    model = PwaModel(_json_part(obj, "coeffs1"), _json_part(obj, "coeffs2"))
     if model.d != obj["d"] or model.k1 != obj["k1"] or model.k2 != obj["k2"]:
         raise ValueError("inconsistent model dimensions in JSON payload")
     return model

@@ -106,21 +106,29 @@ class SmoothedLeastSquares:
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
         T = theta[None] if single else theta
-        # the smoothed values are fresh arrays, so the residuals are formed
-        # in their place
-        R, W1 = self._part(T, 0, self.k1, mu)
-        weights = [(W1, 1.0)]
-        if self.k2:
-            v2, W2 = self._part(T, self.k1 * (self.d + 1), self.k2, mu)
-            R -= v2
-            weights.append((W2, -1.0))
-        np.subtract(self.Y, R, out=R)
-        self._cache = (single, weights, R)
-        # an overflowing square is an infinite value, which every caller
-        # handles; numpy's warning about it would only reach the user
-        with np.errstate(over="ignore"):
+        # an overflowing Z / mu or square is a non-finite value, which every
+        # caller handles; numpy's warning would only reach the user
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the smoothed values are fresh arrays: the residuals go in place
+            R, W1 = self._part(T, 0, self.k1, mu)
+            weights = [(W1, 1.0)]
+            if self.k2:
+                v2, W2 = self._part(T, self.k1 * (self.d + 1), self.k2, mu)
+                R -= v2
+                weights.append((W2, -1.0))
+            np.subtract(self.Y, R, out=R)
             values = np.add.reduce(R * R, axis=1) / R.shape[1]
+        self._cache = (single, weights, R)
         return float(values[0]) if single else values
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Part1's weights at the point(s) of the last :meth:`value` call,
+        ``(n, k1)`` per member; a read-only view of those the gradient uses."""
+        single, weights, _ = self._cache
+        W = weights[0][0].view()
+        W.flags.writeable = False
+        return W[0] if single else W
 
     def gradient(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Gradient at the point(s) of the last :meth:`value` call, pack layout.

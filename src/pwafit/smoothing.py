@@ -71,6 +71,11 @@ def project_simplex(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if not np.isfinite(c).all():
         raise ValueError("input must be finite")
+    return _sort_threshold(c)
+
+
+def _sort_threshold(c: np.ndarray) -> np.ndarray:
+    """:func:`project_simplex` unchecked: a non-finite row may give NaN."""
     single = c.ndim == 1
     V = (c[None, :] if single else c).swapaxes(-1, -2)
     k = V.shape[-2]
@@ -129,7 +134,8 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
     row maxima and one-hot weights on the maximizing piece, ties going to
     the lowest index as in ``argmax``.  Per-member levels must be positive;
     a level that is negative, zero per member, NaN or infinite raises
-    ``ValueError``.
+    ``ValueError``.  With sqerr, a point whose ``Z / mu`` overflows may get
+    non-finite weights and value; it raises no error.
 
     The work runs on the piece-major view of ``Z`` (its last two axes
     swapped), so each reduction over pieces combines k long rows.  A caller
@@ -171,7 +177,12 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
         return vals, E.swapaxes(-1, -2)
     C = Zt / mu[..., None]
     C -= 1.0 / k
-    Wt = project_simplex(C.swapaxes(-1, -2)).swapaxes(-1, -2)
+    try:
+        Wt = project_simplex(C.swapaxes(-1, -2)).swapaxes(-1, -2)
+    except ValueError:
+        # Z / mu overflowed: project unchecked, so only the points it hit
+        # lose their bits (project_simplex stays the call perfbench times)
+        Wt = _sort_threshold(C.swapaxes(-1, -2)).swapaxes(-1, -2)
     # rho = (0.5 * sum_j (w_j - 1/k)^2) * mu, then vals = sum_j w_j z_j - rho
     D = Wt - 1.0 / k
     np.square(D, out=D)

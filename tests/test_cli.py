@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -277,6 +278,34 @@ def test_ci_fit_json_of_wrong_shape_exits_2(tmp_path, capsys, payload):
     assert not (tmp_path / "ci.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key,coeffs,entry",
+    [
+        ("coeffs1", "[[{}, 0.0], [-1.0, 0.0]]", "coeffs1[0][0]"),
+        ("coeffs1", '[["1.0", 0.0], [-1.0, 0.0]]', "coeffs1[0][0]"),
+        ("coeffs2", "[[0.0, true]]", "coeffs2[0][1]"),
+        ("coeffs2", "[[0.0, 1" + "0" * 400 + "]]", "coeffs2[0][1]"),
+        ("coeffs1", "{}", "coeffs1"),
+        ("coeffs1", "5", "coeffs1"),
+        ("coeffs1", "[1.0, 0.0]", "coeffs1"),
+        ("coeffs2", "[[0.0, 0.0], 1.0]", "coeffs2"),
+    ],
+    ids=["object", "string", "bool", "10**400", "object-part", "number-part", "flat", "ragged"],
+)
+def test_ci_coefficients_not_json_number_rows_exit_2(tmp_path, capsys, key, coeffs, entry):
+    data = tmp_path / "plane.csv"
+    write_plane_csv(data)
+    model = model_to_json_dict(convex_model([[1.0, 0.0], [-1.0, 0.0]]))
+    model[key] = "@"
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({"model": model}).replace('"@"', coeffs))
+    out = tmp_path / "ci.json"
+    assert run("ci", "--in", data, "--fit", fit, "--out", out) == 2
+    assert f"error: model entry {entry} must be" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "ci.json.manifest.json").exists()
+
+
 def test_ci_non_two_piece_fit_exits_2(tmp_path, capsys):
     # the shape of a --k1 3 --k2 1 fit
     model = PwaModel(
@@ -339,6 +368,30 @@ def test_ci_non_finite_covariance_exits_3(tmp_path, capsys):
         assert run("ci", "--in", data, "--fit", fit_out, "--out", out) == 3
     assert "non-finite covariance" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "hci.json.manifest.json").exists()
+
+
+# `ci` output on the seed-7 fits of the CI smoke test, recorded on the
+# platform of PINNED_FITS in test_optimizer.py; another BLAS or libm build may
+# round differently.
+@pytest.mark.parametrize(
+    "name,sigma2_repr,counts,c_digest",
+    [
+        ("broken-stick-200", "0.01070421619805118", [86, 114], "8cf066bfccbc9f1e"),
+        ("planes-d2", "0.01032043609738907", [56, 44], "7897b1744eeec597"),
+    ],
+)
+def test_ci_numbers_are_pinned(tmp_path, name, sigma2_repr, counts, c_digest):
+    data, fit_out, out = tmp_path / "data.csv", tmp_path / "fit.json", tmp_path / "ci.json"
+    assert run("simulate", "--preset", name, "--seed", 7, "--out", data) == 0
+    assert run(
+        "fit", "--in", data, "--k1", 2, "--mu", 0.01, "--pool", 5, "--seed", 7, "--out", fit_out
+    ) == 0
+    assert run("ci", "--in", data, "--fit", fit_out, "--out", out) == 0
+    payload = strict_json(out)
+    assert repr(payload["sigma2_hat"]) == sigma2_repr
+    assert payload["segment_counts"] == counts
+    C = np.asarray(payload["C"], dtype="<f8")
+    assert hashlib.sha256(C.tobytes()).hexdigest()[:16] == c_digest
 
 
 def test_compare_table_shape(tmp_path):

@@ -9,12 +9,12 @@ from pwafit.inference import (
     confidence_intervals,
     hinge_fit_1d,
     line_parameters,
-    piece_assignment,
     plugin_covariance,
     smoothed_covariance,
 )
 from pwafit.model import MaxAffine, PwaModel, convex_model, zero_part
 from pwafit.objective import Dataset
+from pwafit.optimizer import FitConfig, fit_pool
 from pwafit.simulate import generate, preset
 from pwafit.smoothing import Prox, SmoothingSpec
 
@@ -39,23 +39,6 @@ def test_line_parameters_requires_two_pieces():
         line_parameters(convex_model([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         line_parameters(convex_model([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]]))
-
-
-def test_piece_assignment_with_tie_to_first():
-    data = Dataset(np.array([-1.0, 0.0, 1.0]), np.zeros(3))
-    assign = piece_assignment(ABS_MODEL, data)
-    assert assign.tolist() == [1, 0, 0]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_piece_assignment_is_argmax_of_piece_values(k):
-    # pieces 0 and 1 meet at x = 0 and piece 2 repeats piece 0, so there are
-    # ties, which go to the lowest index as in argmax
-    model = convex_model(np.array([[0.5, 0.0], [-1.0, 0.0], [0.5, 0.0]])[:k])
-    X = np.linspace(-1, 1, 41)
-    data = Dataset(X, np.zeros_like(X))
-    want = model.part1.piece_values(data.X).argmax(axis=1)
-    assert np.array_equal(piece_assignment(model, data), want)
 
 
 def test_plugin_moment_blocks_hand_computed():
@@ -103,6 +86,29 @@ def test_plugin_matches_per_piece_block_oracle():
     data = generate(scenario)
     cov = plugin_covariance(scenario.model, data)
     assert_matches_block_oracle(cov, scenario.model, data)
+
+
+@pytest.mark.parametrize("name", ["broken-stick-200", "planes-d2", "planes-d4"])
+def test_plugin_sigma2_hat_is_the_fits_empirical_norm(name):
+    # d = 1, 2 and 4; a fit's model is normalised, so the covariance kernel
+    # evaluates the fit's own numbers at mu = 0
+    data = generate(preset(name, seed=7))
+    res = fit_pool(data, 2, 0, "sqerr", FitConfig(restarts_pool=2, seed=7))
+    cov = plugin_covariance(res.model, data)
+    assert repr(cov.sigma2_hat) == repr(res.empirical_norm)
+    assert cov.segment_counts.sum() == data.n
+
+
+def test_smoothed_counts_are_the_hard_assignment():
+    # so large a mu rounds every point's weights to (1/2, 1/2), which no
+    # longer tell the piece attaining the max; N_j still counts its points
+    data = separated_dataset(3)
+    plug = plugin_covariance(ABS_MODEL, data)
+    for prox in Prox:
+        with pytest.warns(UserWarning, match="singular moment matrix"):
+            cov = smoothed_covariance(ABS_MODEL, SmoothingSpec(prox, 1e17), data)
+        assert cov.segment_counts.tolist() == plug.segment_counts.tolist()
+        assert repr(cov.sigma2_hat) == repr(plug.sigma2_hat)
 
 
 def test_sandwich_identities():

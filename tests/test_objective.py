@@ -250,6 +250,30 @@ def test_stacked_members_carry_their_one_member_bits(name, prox, k1, k2):
         assert np.array_equal(kernel.gradient(), grad)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_kernel_weights_are_part1s_of_the_last_value_call(mu):
+    model, data = random_instance(4, k1=3, k2=2)
+    kernel = SmoothedLeastSquares(data.X, data.Y, 3, 2, Prox.SQUARED_ERROR)
+    kernel.value(pack(model), mu)
+    _, want = smooth_max(model.part1.piece_values(data.X), Prox.SQUARED_ERROR, mu)
+    assert kernel.weights.shape == (data.n, 3)
+    assert np.array_equal(kernel.weights, want)
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.weights[0, 0] = 1.0
+
+
+def test_kernel_weights_of_a_stack_are_its_members():
+    model, data = random_instance(5)
+    kernel = SmoothedLeastSquares(data.X, data.Y, 2, 2, Prox.ENTROPY)
+    thetas, mus = np.stack([pack(model), -pack(model)]), [0.2, 0.3]
+    kernel.value(thetas, np.array(mus))
+    stacked = kernel.weights
+    assert stacked.shape == (2, data.n, 2)
+    for theta, mu, W in zip(thetas, mus, stacked):
+        kernel.value(theta, mu)
+        assert np.array_equal(kernel.weights, W)
+
+
 def test_kernel_gradient_follows_last_value_call():
     model, data = random_instance(3)
     kernel = SmoothedLeastSquares(data.X, data.Y, 2, 2, Prox.ENTROPY)

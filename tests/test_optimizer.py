@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,21 @@ def test_unconverged_fit_reports_best_incumbent():
     assert not res.converged
     assert res.restarts_used == 2
     assert np.isfinite(res.empirical_norm)
+
+
+@pytest.mark.parametrize("prox", ["sqerr", "entropy"])
+def test_subnormal_mu_target_fits_without_error_or_warning(prox):
+    # the last stages' Z / mu overflows: a non-finite value, so a failed
+    # attempt, never an error, and no numpy warning reaches the user
+    data = generate(preset("broken-stick-200", seed=7))
+    cfg = FitConfig(mu_target=1e-320, restarts_pool=1, max_restarts=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fit(data, 2, 0, prox, cfg)
+    assert np.isfinite(res.empirical_norm)
+    if prox == "sqerr":
+        # the target's sqerr value overflows everywhere, so it cannot converge
+        assert not res.converged and not np.isfinite(res.objective_value)
 
 
 # Fitted numbers of fit_pool recorded before the objective became one

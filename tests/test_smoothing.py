@@ -134,6 +134,21 @@ def test_project_simplex_rejects_nonfinite():
         project_simplex([np.nan, 0.0])
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_sqerr_overflow_is_non_finite_at_its_points_only(k):
+    # member 0's mu is so small that Z / mu overflows at points 1 and 2; its
+    # point 0 and member 1 keep the bits of their own calls
+    Z = np.array([[[0.0] * k, [0.5] + [-0.5] * (k - 1), [-0.2] * k]] * 2)
+    mu = np.array([1e-320, 0.1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, W = smooth_max(Z, Prox.SQUARED_ERROR, mu)
+    assert not np.isfinite(vals[0, 1:]).any() and not np.isfinite(W[0, 1:]).all(axis=-1).any()
+    v0, W0 = smooth_max(Z[0, :1], Prox.SQUARED_ERROR, 1e-320)
+    v1, W1 = smooth_max(Z[1], Prox.SQUARED_ERROR, 0.1)
+    assert np.array_equal(vals[0, :1], v0) and np.array_equal(W[0, :1], W0)
+    assert np.array_equal(vals[1], v1) and np.array_equal(W[1], W1)
+
+
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_project_simplex_matches_active_set_enumeration(k, seed):
