@@ -26,7 +26,7 @@ from .objective import (
     least_squares,
     least_squares_gradient,
 )
-from .optimizer import FitConfig, FitResult, anneal_schedule, fit, fit_pool, nelder_mead_fit
+from .optimizer import FitConfig, FitResult, anneal_schedule, fit, fit_pool
 from .inference import (
     ConfidenceIntervals,
     CovarianceEstimate,

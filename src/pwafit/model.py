@@ -196,6 +196,9 @@ def _json_part(obj: dict, key: str) -> MaxAffine:
 
 
 def model_from_json_dict(obj: dict) -> PwaModel:
+    for key in ("d", "k1", "k2"):
+        if type(obj[key]) is not int:  # no bool, and no float such as 2.0
+            raise ValueError(f"model entry {key} must be an integer")
     model = PwaModel(_json_part(obj, "coeffs1"), _json_part(obj, "coeffs2"))
     if model.d != obj["d"] or model.k1 != obj["k1"] or model.k2 != obj["k2"]:
         raise ValueError("inconsistent model dimensions in JSON payload")

@@ -6,8 +6,8 @@ optimum.  Non-convergence or numerical trouble restarts the whole
 schedule from a fresh random initial point.  The members of a pool run in
 lockstep: one BFGS engine holds their stacked state and evaluates their
 points together, one stacked kernel call per round.  A gradient-free
-Nelder-Mead baseline on the unsmoothed criterion is provided for
-comparisons.
+Nelder-Mead baseline on the unsmoothed criterion is available through
+``fit_pool(..., method="nelder-mead")`` for comparisons.
 """
 from __future__ import annotations
 
@@ -27,19 +27,18 @@ __all__ = [
     "anneal_schedule",
     "fit",
     "fit_pool",
-    "nelder_mead_fit",
 ]
 
 _BOX_LIMIT = 1e4  # parameters beyond this magnitude count as a numerical runaway
 _INIT_RADIUS = 1.0  # random initial points are uniform on [-r, r]^m
+_MAX_NEWTON_STEPS = 200  # BFGS steps per anneal stage
+_MAX_RESTARTS = 50  # fresh attempts after the first one fails
 
 
 @dataclass(frozen=True)
 class FitConfig:
     mu_target: float = 0.1
     tolerance: float = 1e-5
-    max_newton_steps: int = 200
-    max_restarts: int = 50
     restarts_pool: int = 10
     seed: int = 0
 
@@ -47,10 +46,11 @@ class FitConfig:
         for value in (self.mu_target, self.tolerance):
             if not np.isfinite(value) or value <= 0:
                 raise ValueError("mu_target and tolerance must be positive and finite")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.max_newton_steps < 1 or self.max_restarts < 0 or self.restarts_pool < 1:
-            raise ValueError("invalid iteration/restart configuration")
+        for name, kind, least in (("seed", "non-negative", 0), ("restarts_pool", "positive", 1)):
+            value = getattr(self, name)
+            # a bool is an int to Python, but not a seed or a pool size
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass
@@ -69,8 +69,8 @@ def anneal_schedule(mu: float) -> list[float]:
 
     ``m0`` is the smallest integer with ``2^m0 * mu > 1``.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
     # ldexp scales by a power of two exactly, and 2^m0 itself may overflow
     m0 = 0
     while math.ldexp(mu, m0) <= 1.0:
@@ -345,7 +345,7 @@ def _anneal(
     kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, spec.prox)
     stages = anneal_schedule(spec.mu)
     bfgs = _LockstepBfgs(
-        len(rngs), kernel.size, config.tolerance, config.max_newton_steps, kernel.members_per_call
+        len(rngs), kernel.size, config.tolerance, _MAX_NEWTON_STEPS, kernel.members_per_call
     )
     members = [_Member(rng) for rng in rngs]
     mu = np.empty(len(rngs))
@@ -379,40 +379,31 @@ def _anneal(
             v = x if np.all(np.isfinite(x)) else m.v
             if np.all(np.isfinite(v)) and np.max(np.abs(v)) <= _BOX_LIMIT:
                 # a failed attempt is returned only once every attempt failed
-                candidate = _make_result(kernel, spec, v, m.trace, config.max_restarts, False)
+                candidate = _make_result(kernel, spec, v, m.trace, _MAX_RESTARTS, False)
                 if m.best is None or candidate.empirical_norm < m.best.empirical_norm:
                     m.best = candidate
             m.attempt += 1
-            if m.attempt <= config.max_restarts:
+            if m.attempt <= _MAX_RESTARTS:
                 begin_attempt(i)
                 continue
             if m.best is None:
                 zero = np.zeros(kernel.size)
-                m.best = _make_result(kernel, spec, zero, [], config.max_restarts, False)
+                m.best = _make_result(kernel, spec, zero, [], _MAX_RESTARTS, False)
             m.result = m.best
     return [m.result for m in members]
 
 
-def fit(
-    data: Dataset,
-    k1: int,
-    k2: int,
-    prox: Prox | str,
-    config: FitConfig,
-    rng: np.random.Generator | None = None,
-) -> FitResult:
-    """Annealed quasi-Newton least-squares fit: a pool of one.
+def fit(data: Dataset, k1: int, k2: int, prox: Prox | str, config: FitConfig) -> FitResult:
+    """Annealed quasi-Newton least-squares fit: member 0 of :func:`fit_pool`.
 
     ``mu`` is halved from above one down to ``config.mu_target``, each stage
-    a BFGS run warm-started at the previous optimum.  On non-convergence or
-    numerical failure the whole schedule restarts from a fresh random point
-    drawn from ``rng``, up to ``config.max_restarts`` times; if all attempts
-    fail the best incumbent is returned with ``converged=False``.
+    a BFGS run of at most 200 steps warm-started at the previous optimum.  On
+    non-convergence or numerical failure the whole schedule restarts from a
+    fresh random point, up to 50 times; if all attempts fail the best
+    incumbent is returned with ``converged=False``.
     """
     spec = SmoothingSpec(prox, config.mu_target)
-    if rng is None:
-        rng = _default_rng(config.seed)
-    return _anneal(data, k1, k2, spec, config, [rng])[0]
+    return _anneal(data, k1, k2, spec, config, [_default_rng(config.seed)])[0]
 
 
 def fit_pool(
@@ -429,14 +420,15 @@ def fit_pool(
 
     Member ``i`` draws from ``SeedSequence((config.seed, i))``.  The annealed
     members run in lockstep, each with its own rng stream, Armijo steps and
-    restarts, so each member's numbers are those of :func:`fit` with its rng,
-    and a pool of one is a single :func:`fit`.
+    restarts, so each member's numbers are those of a pool of one with its
+    rng, and a pool of one is a single :func:`fit`.  ``method="nelder-mead"``
+    fits each member by the gradient-free baseline instead.
     """
     rngs = [_default_rng(config.seed, i) for i in range(config.restarts_pool)]
     if method == "anneal":
         results = _anneal(data, k1, k2, SmoothingSpec(prox, config.mu_target), config, rngs)
     elif method == "nelder-mead":
-        results = [nelder_mead_fit(data, k1, k2, config, rng=rng) for rng in rngs]
+        results = [_nelder_mead(data, k1, k2, config, rng) for rng in rngs]
     else:
         raise ValueError(f"unknown method {method!r}")
     converged = [res for res in results if res.converged]
@@ -444,18 +436,12 @@ def fit_pool(
     return min(candidates, key=lambda res: res.empirical_norm)
 
 
-def nelder_mead_fit(
-    data: Dataset,
-    k1: int,
-    k2: int,
-    config: FitConfig,
-    rng: np.random.Generator | None = None,
+def _nelder_mead(
+    data: Dataset, k1: int, k2: int, config: FitConfig, rng: np.random.Generator
 ) -> FitResult:
     """Gradient-free baseline: Nelder-Mead on the unsmoothed criterion."""
     objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, _UNSMOOTHED.prox)
     n_free = objective.size
-    if rng is None:
-        rng = _default_rng(config.seed)
     x0 = rng.uniform(-_INIT_RADIUS, _INIT_RADIUS, n_free)
     simplex = np.vstack([x0, x0 + 0.1 * _INIT_RADIUS * np.eye(n_free)])
     res = minimize(

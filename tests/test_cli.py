@@ -289,8 +289,12 @@ def test_ci_fit_json_of_wrong_shape_exits_2(tmp_path, capsys, payload):
         ("coeffs1", "5", "coeffs1"),
         ("coeffs1", "[1.0, 0.0]", "coeffs1"),
         ("coeffs2", "[[0.0, 0.0], 1.0]", "coeffs2"),
+        # equal to the model's d = 1 and k1 = 2, but not JSON integers
+        ("d", "true", "d"),
+        ("k1", "2.0", "k1"),
     ],
-    ids=["object", "string", "bool", "10**400", "object-part", "number-part", "flat", "ragged"],
+    ids=["object", "string", "bool", "10**400", "object-part", "number-part", "flat", "ragged",
+         "bool-d", "float-k1"],
 )
 def test_ci_coefficients_not_json_number_rows_exit_2(tmp_path, capsys, key, coeffs, entry):
     data = tmp_path / "plane.csv"

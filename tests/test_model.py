@@ -153,6 +153,16 @@ def test_json_roundtrip():
     assert list(json.loads(payload)) == ["d", "k1", "k2", "coeffs1", "coeffs2"]
 
 
+@pytest.mark.parametrize("key,value", [("d", True), ("k1", 2.0), ("k2", True), ("k2", "1")])
+def test_json_shape_entries_must_be_integers(key, value):
+    # each value equals the model's own entry (True == 1, 2.0 == 2) but is
+    # not a JSON integer
+    obj = model_to_json_dict(convex_model([[1.0, 0.0], [-1.0, 0.0]]))
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"model entry {key} must be an integer"):
+        model_from_json_dict(obj)
+
+
 def test_immutability():
     m = convex_model([[1.0, 0.0]])
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pwafit import optimizer
 from pwafit.model import convex_model
 from pwafit.objective import Dataset, empirical_norm
 from pwafit.optimizer import (
@@ -10,7 +11,6 @@ from pwafit.optimizer import (
     anneal_schedule,
     fit,
     fit_pool,
-    nelder_mead_fit,
 )
 from pwafit.objective import SmoothedLeastSquares
 from pwafit.optimizer import _LockstepBfgs, _anneal, _default_rng
@@ -26,8 +26,9 @@ def test_anneal_schedule_examples():
     # the smallest subnormal needs m0 = 1075, past where 2.0**m0 overflows
     tiny = anneal_schedule(5e-324)
     assert len(tiny) == 1076 and tiny[-1] == 5e-324 and 1.0 < tiny[0] <= 2.0
-    with pytest.raises(ValueError):
-        anneal_schedule(0.0)
+    for mu in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            anneal_schedule(mu)
 
 
 def test_config_validation():
@@ -39,10 +40,19 @@ def test_config_validation():
         {"mu_target": np.inf},
         {"tolerance": np.nan},
         {"tolerance": np.inf},
+        # not integers: a float, even a whole one, or a bool
+        {"seed": 1.5},
+        {"seed": 1.0},
+        {"seed": True},
+        {"restarts_pool": 2.5},
+        {"restarts_pool": True},
+        {"restarts_pool": np.float64(2.0)},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+    cfg = FitConfig(seed=np.int64(3), restarts_pool=np.int32(2))
+    assert (cfg.seed, cfg.restarts_pool) == (3, 2)
 
 
 def test_config_rejects_negative_seed():
@@ -70,6 +80,20 @@ class QuadraticStack:
         for i, f in zip(members, self.f[rows]):
             self.history[i].append(f)
         return (self.A[members] @ self.X[rows, :, None])[..., 0] - self.b[members]
+
+
+class Counted:
+    """``problem`` with a count of the value evaluations of each member."""
+
+    def __init__(self, problem, members):
+        self.problem, self.evals = problem, np.zeros(members, dtype=int)
+
+    def value(self, members, X):
+        np.add.at(self.evals, members, 1)
+        return self.problem.value(members, X)
+
+    def gradient(self, rows):
+        return self.problem.gradient(rows)
 
 
 def run_bfgs(objective, X0, tol, max_steps, per_call=None):
@@ -254,9 +278,13 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     statuses = set()
     with np.errstate(all="ignore"):
         for problem, X0, tol, max_steps, per_call in cases:
-            stacked = run_bfgs(problem, X0, tol, max_steps, per_call)
+            counted = Counted(problem, len(X0))
+            stacked = run_bfgs(counted, X0, tol, max_steps, per_call)
             for i, (x, f, status, steps) in enumerate(stacked):
+                points = []
+
                 def value(x, i=i):
+                    points.append(x)
                     return problem.value(np.array([i]), x[None])[0]
 
                 want = reference_bfgs(value, lambda: problem.gradient(np.array([0]))[0],
@@ -264,6 +292,8 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
                 assert np.array_equal(x, want[0])
                 assert f == want[1] or (np.isnan(f) and np.isnan(want[1]))
                 assert (status, steps) == want[2:]
+                # no member evaluates a point more often than it would alone
+                assert counted.evals[i] == len(points)
                 statuses.add(status)
     # each way out of a run is taken (from a negated start, only a member
     # that starts at its minimizer converges)
@@ -271,9 +301,9 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     assert statuses >= expected | {"maxiter", "instability"}
 
 
-# (preset, prox, k2, max_newton_steps, pool, pool split over several kernel
-# calls): with max_restarts = 2 and seed 1, some members converge at once, some
-# after a restart, and at least one exhausts its restarts
+# (preset, prox, k2, BFGS steps per stage, pool, pool split over several
+# kernel calls): with 2 restarts and seed 1, some members converge at once,
+# some after a restart, and at least one exhausts its restarts
 INDEPENDENCE_CASES = [
     ("broken-stick-200", "sqerr", 0, 26, 6, False),
     ("broken-stick-200", "entropy", 1, 30, 6, False),
@@ -283,19 +313,22 @@ INDEPENDENCE_CASES = [
 
 
 @pytest.mark.parametrize("name,prox,k2,steps,pool,split", INDEPENDENCE_CASES)
-def test_lockstep_members_equal_their_solo_fits(name, prox, k2, steps, pool, split):
+def test_lockstep_members_equal_their_solo_fits(
+    name, prox, k2, steps, pool, split, monkeypatch
+):
     data = generate(preset(name, seed=1))
     kernel = SmoothedLeastSquares(data.X, data.Y, 2, k2, prox)
     assert (kernel.members_per_call < pool) == split
-    cfg = FitConfig(
-        mu_target=0.1, max_newton_steps=steps, max_restarts=2, restarts_pool=pool, seed=1
-    )
+    monkeypatch.setattr(optimizer, "_MAX_NEWTON_STEPS", steps)
+    monkeypatch.setattr(optimizer, "_MAX_RESTARTS", 2)
+    cfg = FitConfig(mu_target=0.1, restarts_pool=pool, seed=1)
+    spec = SmoothingSpec(prox, 0.1)
     rngs = [_default_rng(1, i) for i in range(pool)]
-    pooled = _anneal(data, 2, k2, SmoothingSpec(prox, 0.1), cfg, rngs)
+    pooled = _anneal(data, 2, k2, spec, cfg, rngs)
     outcomes = {(res.converged, res.restarts_used > 0) for res in pooled}
     assert outcomes == {(True, False), (True, True), (False, True)}
     for i, res in enumerate(pooled):
-        solo = fit(data, 2, k2, prox, cfg, rng=_default_rng(1, i))
+        solo = _anneal(data, 2, k2, spec, cfg, [_default_rng(1, i)])[0]
         assert np.array_equal(res.theta_hat, solo.theta_hat)
         assert res.anneal_trace == solo.anneal_trace
         assert res.objective_value == solo.objective_value
@@ -380,7 +413,7 @@ def test_nelder_mead_recovers_single_plane():
     X = rng.uniform(-1, 1, (40, 1))
     Y = X[:, 0] * 1.2 - 0.3
     data = Dataset(X, Y)
-    res = nelder_mead_fit(data, 1, 0, FitConfig(seed=9))
+    res = fit_pool(data, 1, 0, "sqerr", FitConfig(restarts_pool=1, seed=9), method="nelder-mead")
     assert res.empirical_norm < 1e-6
     assert res.anneal_trace == []
 
@@ -402,11 +435,13 @@ def test_invalid_inputs_rejected():
         fit_pool(data, 2, 0, "sqerr", cfg, method="gradient-descent")
 
 
-def test_unconverged_fit_reports_best_incumbent():
+def test_unconverged_fit_reports_best_incumbent(monkeypatch):
     # a single BFGS step cannot converge; all restarts fail and the best
     # incumbent comes back flagged
     data = generate(preset("broken-stick-200", seed=12))
-    cfg = FitConfig(mu_target=0.1, max_newton_steps=1, max_restarts=2, seed=12)
+    monkeypatch.setattr(optimizer, "_MAX_NEWTON_STEPS", 1)
+    monkeypatch.setattr(optimizer, "_MAX_RESTARTS", 2)
+    cfg = FitConfig(mu_target=0.1, seed=12)
     res = fit(data, 2, 0, "sqerr", cfg)
     assert not res.converged
     assert res.restarts_used == 2
@@ -414,11 +449,12 @@ def test_unconverged_fit_reports_best_incumbent():
 
 
 @pytest.mark.parametrize("prox", ["sqerr", "entropy"])
-def test_subnormal_mu_target_fits_without_error_or_warning(prox):
+def test_subnormal_mu_target_fits_without_error_or_warning(prox, monkeypatch):
     # the last stages' Z / mu overflows: a non-finite value, so a failed
     # attempt, never an error, and no numpy warning reaches the user
     data = generate(preset("broken-stick-200", seed=7))
-    cfg = FitConfig(mu_target=1e-320, restarts_pool=1, max_restarts=0)
+    monkeypatch.setattr(optimizer, "_MAX_RESTARTS", 0)
+    cfg = FitConfig(mu_target=1e-320, restarts_pool=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = fit(data, 2, 0, prox, cfg)
