@@ -7,6 +7,7 @@ counts of the original studies and can take hours.
     python3 scripts/run_all_experiments.py --outdir results --scale desk
 """
 import argparse
+import os
 import sys
 
 from pwafit.cli import main as cli_main
@@ -32,6 +33,8 @@ def main():
     args = parser.parse_args()
     n = SCALES[args.scale]
     seed = str(args.seed)
+    # `pwafit compare` writes into an existing directory only
+    os.makedirs(args.outdir, exist_ok=True)
 
     for preset in ("broken-stick-200", "planes-d2"):
         run(

@@ -29,8 +29,8 @@ class Dataset:
         Y = np.array(self.Y, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValueError("X must be an n x d matrix with n >= 1")
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+            raise ValueError("X must be an n x d matrix with n >= 1 and d >= 1")
         if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
             raise ValueError("Y must be a vector matching the rows of X")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):

@@ -96,26 +96,29 @@ class _LockstepBfgs:
     iterate, inverse Hessian, Armijo step, step count and status, so it
     takes exactly the steps it would take alone.
 
+    One stop test ends a run at its current step, in the scalar loop's
+    order: converged if ``max|g|`` and ``max|s|`` are below ``tol``, else
+    maxiter at ``max_steps``, else converged if ``max|g| < tol``.  ``t``
+    starts at 1 and only halves; after ``_MAX_BACKTRACKS`` rejections the
+    run ends converged if ``max|g| < sqrt(tol)``, else in instability, as it
+    does on a non-finite value or gradient or a step out of the box.
+
     The state holds one row per running member, in member order; a member
     whose run ended and that is not started again leaves it next round.
     """
 
-    _ROW_STATE = ("ids", "x", "trial", "tp", "g", "p", "H", "f", "gp", "t", "backtracks",
-                  "step", "alive")
+    _ROW_STATE = ("ids", "x", "g", "p", "H", "f", "gp", "t", "step", "alive")
 
     def __init__(self, members: int, size: int, tol: float, max_steps: int, per_call: int):
         self.tol, self.max_steps, self.per_call = tol, max_steps, per_call
         self.ids = np.arange(members)
         self.x = np.zeros((members, size))
-        self.trial = np.zeros((members, size))
-        self.tp = np.zeros((members, size))  # the step t * p that led to trial
         self.g = np.zeros((members, size))
         self.p = np.zeros((members, size))
         self.H = np.zeros((members, size, size))
         self.f = np.zeros(members)
         self.gp = np.zeros(members)
         self.t = np.ones(members)
-        self.backtracks = np.zeros(members, dtype=int)
         self.step = np.zeros(members, dtype=int)
         self.alive = np.zeros(members, dtype=bool)
         self._ended: list[tuple[int, np.ndarray, float, str, int]] = []
@@ -129,7 +132,8 @@ class _LockstepBfgs:
         row, so a member is started again in the round its run ended."""
         row = int(np.searchsorted(self.ids, i))
         # the start is step 0: a zero step to x0 with the identity as H
-        self.trial[row], self.tp[row], self.H[row] = x0, 0.0, np.eye(self.x.shape[1])
+        # (t > 0, and x0 + t * -0.0 is x0 bit for bit)
+        self.x[row], self.p[row], self.H[row] = x0, -0.0, np.eye(self.x.shape[1])
         self.step[row] = 0
         self.alive[row] = True
 
@@ -144,10 +148,12 @@ class _LockstepBfgs:
             for name in self._ROW_STATE:
                 setattr(self, name, getattr(self, name)[keep])
         self._ended = []
+        tp = self.t[:, None] * self.p
+        trial = self.x + tp
         calls = []
         for lo in range(0, self.ids.size, self.per_call):
             rows = slice(lo, lo + self.per_call)
-            ft = value(self.ids[rows], self.trial[rows])
+            ft = value(self.ids[rows], trial[rows])
             armijo = np.isfinite(ft) & (ft <= self.f[rows] + 1e-4 * self.t[rows] * self.gp[rows])
             accepted = (self.step[rows] == 0) | armijo
             G = gradient(accepted.nonzero()[0]) if _count(accepted) else None
@@ -163,12 +169,10 @@ class _LockstepBfgs:
         if n_acc < accepted.size:
             self._reject((~accepted).nonzero()[0])
         if n_acc == accepted.size:
-            self._accept(slice(None), ft, G)
+            self._accept(slice(None), trial, tp, ft, G)
         elif n_acc:
-            self._accept(accepted.nonzero()[0], ft[accepted], G)
-        # the next trial of every running member; a new direction has t = 1
-        self.tp = self.t[:, None] * self.p
-        self.trial = self.x + self.tp
+            rows = accepted.nonzero()[0]
+            self._accept(rows, trial[rows], tp[rows], ft[accepted], G)
         return self._ended
 
     def _end(self, rows, status: str, steps) -> None:
@@ -178,11 +182,11 @@ class _LockstepBfgs:
             self._ended.append((member, x, f, status, int(n)))
         self.alive[rows] = False
 
-    def _accept(self, rows, fn, gn) -> None:
-        """Accepted trial points and start points: the runaway test, the
-        inverse-Hessian update, and the convergence and step-limit tests.  A
+    def _accept(self, rows, xn, s, fn, gn) -> None:
+        """Accepted trial points ``xn``, reached by steps ``s``, and start
+        points: the runaway test, the inverse-Hessian update, the stop test
+        and, for a run that goes on, the next direction with a unit step.  A
         start's zero step takes no update."""
-        xn = self.trial[rows]
         gmax = np.maximum.reduce(np.abs(gn), axis=1)
         absx = np.abs(xn)
         # only a start can have a non-finite value (the Armijo test rejects
@@ -198,9 +202,8 @@ class _LockstepBfgs:
             self.x[worse], self.f[worse] = xn[bad], fn[bad]
             self._end(worse, "instability", self.step[worse])
             ok = ~bad
-            rows, fn, gn, xn, gmax = _sub(rows, ok), fn[ok], gn[ok], xn[ok], gmax[ok]
+            rows, fn, gn, xn, s, gmax = _sub(rows, ok), fn[ok], gn[ok], xn[ok], s[ok], gmax[ok]
         H = self.H[rows]
-        s = self.tp[rows]
         y = gn - self.g[rows]
         # s'y, s's and y'y in one stacked product
         sy, ss, yy = _dots(np.concatenate([s, s, y]), np.concatenate([y, s, y])).reshape(3, -1)
@@ -227,50 +230,42 @@ class _LockstepBfgs:
             self.H[rows] = H
         self.x[rows], self.f[rows], self.g[rows] = xn, fn, gn
         steps = self.step[rows]
-        conv = np.maximum(gmax, np.maximum.reduce(np.abs(s), axis=1)) < self.tol
-        stop = conv | (steps >= self.max_steps)
+        # the scalar loop's order: a small gradient and step, the step
+        # limit, a small gradient
+        conv = gmax < self.tol
+        smax = np.maximum.reduce(np.abs(s), axis=1)
+        maxed = (steps >= self.max_steps) & ~(conv & (smax < self.tol))
+        conv &= ~maxed
+        stop = conv | maxed
         if _count(stop):
-            maxed = stop & ~conv
             self._end(_sub(rows, conv), "converged", steps[conv])
             self._end(_sub(rows, maxed), "maxiter", steps[maxed])
             go = ~stop
-            rows, gn, H, gmax = _sub(rows, go), gn[go], H[go], gmax[go]
+            rows, gn, H = _sub(rows, go), gn[go], H[go]
         self.step[rows] += 1
-        self._direction(rows, gn, H, gmax)
+        # the quasi-Newton direction, or steepest descent if it is not a
+        # descent direction
+        p = (-H @ gn[:, :, None])[:, :, 0]
+        gp = _dots(gn, p)
+        reset = ~np.isfinite(gp) | (gp >= 0.0)
+        if _count(reset):
+            self.H[_sub(rows, reset)] = np.eye(self.x.shape[1])
+            p[reset] = -gn[reset]
+            gp[reset] = -_dots(gn[reset], gn[reset])
+        self.p[rows], self.gp[rows], self.t[rows] = p, gp, 1.0
 
     def _reject(self, rows) -> None:
-        """Rejected trial points: halve the step, or give up after the last."""
-        self.t[rows] *= 0.5
-        backtracks = self.backtracks[rows] + 1
-        self.backtracks[rows] = backtracks
-        out = backtracks >= _MAX_BACKTRACKS
+        """Rejected trial points: halve the step, or give up after the last
+        (after ``k`` rejections ``t`` is exactly ``2^-k``)."""
+        t = self.t[rows] * 0.5
+        self.t[rows] = t
+        out = t <= 0.5**_MAX_BACKTRACKS
         if _count(out):
             # no descent possible along p; a near-zero gradient means we are done
             ro = rows[out]
             flat = np.maximum.reduce(np.abs(self.g[ro]), axis=1) < math.sqrt(self.tol)
             self._end(ro[flat], "converged", self.step[ro[flat]])
             self._end(ro[~flat], "instability", self.step[ro[~flat]])
-
-    def _direction(self, rows, g, H, gmax) -> None:
-        """The head of a BFGS step at gradients ``g`` with inverse Hessians
-        ``H`` and ``max|g|``: stop on a small gradient, else take the
-        quasi-Newton direction (steepest descent if it is not a descent
-        direction) with a unit step."""
-        conv = gmax < self.tol
-        if _count(conv):
-            done = _sub(rows, conv)
-            self._end(done, "converged", self.step[done] - 1)
-            go = ~conv
-            rows, g, H = _sub(rows, go), g[go], H[go]
-        p = (-H @ g[:, :, None])[:, :, 0]
-        gp = _dots(g, p)
-        reset = ~np.isfinite(gp) | (gp >= 0.0)
-        if _count(reset):
-            self.H[_sub(rows, reset)] = np.eye(self.x.shape[1])
-            p[reset] = -g[reset]
-            gp[reset] = -_dots(g[reset], g[reset])
-        self.p[rows], self.gp[rows] = p, gp
-        self.t[rows], self.backtracks[rows] = 1.0, 0
 
 
 _count = np.count_nonzero

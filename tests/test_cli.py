@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -486,3 +488,34 @@ def test_import_leaves_scipy_stats_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0 and res.stdout.strip() == "False"
+
+
+def test_run_all_experiments_script_writes_every_output(tmp_path, monkeypatch):
+    # the script is the only caller of `experiment mu-sweep` and
+    # `experiment coverage`; one rep of each study, into a new directory
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for key in script.SCALES["desk"]:
+        monkeypatch.setitem(script.SCALES["desk"], key, 1)
+    outdir = tmp_path / "results"
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", "--outdir", str(outdir)])
+    script.main()
+    tables = ["compare_broken-stick-200.csv", "compare_planes-d2.csv", "mu_sweep.csv",
+              "restart_ecdf.csv", "coverage.csv"]
+    summaries = [f"{name}_summary.json"
+                 for name in ("mu_sweep", "restart_ecdf", "coverage", "three_planes")]
+    manifests = [f"{name}.manifest.json" for name in tables[:2] + summaries]
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(tables + summaries + manifests)
+    for name in summaries + manifests:
+        strict_json(outdir / name)
+
+    def rows(name):
+        with open(outdir / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    assert len(rows("mu_sweep.csv")) == 10
+    assert [row["parameter"] for row in rows("coverage.csv")] == ["a1", "b1", "a2", "b2"]
+    for name in tables[:2]:
+        assert [row["method"] for row in rows(name)] == ["smoothed", "nelder-mead"]

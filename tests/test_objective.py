@@ -47,6 +47,9 @@ def test_dataset_validation():
         Dataset(np.array([[np.nan, 0.0]]), np.array([0.0]))
     with pytest.raises(ValueError):
         Dataset(np.zeros((0, 2)), np.zeros(0))
+    # no predictor columns: a model needs d >= 1
+    with pytest.raises(ValueError, match="d >= 1"):
+        Dataset(np.zeros((5, 0)), np.arange(5.0))
 
 
 def test_perfect_smoothed_fit_gives_zero():

@@ -272,10 +272,20 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     starts.a[:], starts.c[:], starts.r[:] = [0.0, 1e301, 0.0], 0.0, np.inf
     X0 = np.array([[0.5, -1.25, 3.0], [100.0, 100.0, 100.0], [2e4, -2e4, 2e4]])
     cases += [(starts, X0[:2], 1e-8, 20, 2), (starts, X0, 1e-8, 20, 3)]
+    # the step limit against convergence: from the identity, the second
+    # member's gradient and step both fall below tol at step 8, which
+    # converges even when 8 is the last step allowed; the third member's
+    # gradient falls below tol at step 7 with a larger step, which converges
+    # only if an 8th step is allowed
+    last = QuarticStack(rng, 3, 3)
+    last.A[:], last.b[:] = np.diag([1.0, 2.0, 4.0]), [1.0, -5.0, 24.0]
+    last.a[:], last.c[:], last.r[:] = 0.0, 0.0, np.inf
+    X0 = np.array([[0.5, -1.25, 3.0], [1.0, 1.0, 1.0], [-2.0, 0.0, 2.0]])
+    cases += [(last, X0, 1e-8, 8, 3), (last, X0, 1e-8, 7, 3)]
     if start_H == "negated identity":
         eye = np.eye
         monkeypatch.setattr(np, "eye", lambda n, *a, **k: -eye(n, *a, **k))
-    statuses = set()
+    statuses, at_limit = set(), set()
     with np.errstate(all="ignore"):
         for problem, X0, tol, max_steps, per_call in cases:
             counted = Counted(problem, len(X0))
@@ -295,10 +305,14 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
                 # no member evaluates a point more often than it would alone
                 assert counted.evals[i] == len(points)
                 statuses.add(status)
+                if steps == max_steps:
+                    at_limit.add(status)
     # each way out of a run is taken (from a negated start, only a member
     # that starts at its minimizer converges)
     expected = {"converged", "maxiter", "instability"} if start_H == "identity" else set()
     assert statuses >= expected | {"maxiter", "instability"}
+    # a run can converge on its last allowed step
+    assert at_limit >= ({"converged"} if start_H == "identity" else set()) | {"maxiter"}
 
 
 # (preset, prox, k2, BFGS steps per stage, pool, pool split over several
@@ -446,6 +460,19 @@ def test_unconverged_fit_reports_best_incumbent(monkeypatch):
     assert not res.converged
     assert res.restarts_used == 2
     assert np.isfinite(res.empirical_norm)
+
+
+def test_no_usable_incumbent_falls_back_to_zero_model(monkeypatch):
+    # with a box this small every first step is a runaway and every start
+    # lies outside the box, so no attempt leaves an incumbent
+    data = generate(preset("broken-stick-200", seed=7))
+    monkeypatch.setattr(optimizer, "_BOX_LIMIT", 1e-3)
+    monkeypatch.setattr(optimizer, "_MAX_RESTARTS", 1)
+    res = fit_pool(data, 2, 0, "sqerr", FitConfig(restarts_pool=1, seed=3))
+    assert not res.converged
+    assert np.array_equal(res.theta_hat, np.zeros(6))
+    assert res.restarts_used == 1 and res.anneal_trace == []
+    assert res.empirical_norm == pytest.approx(np.mean(data.Y**2), rel=1e-12)
 
 
 @pytest.mark.parametrize("prox", ["sqerr", "entropy"])
