@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import PwaModel, pack
 from .objective import _UNSMOOTHED, Dataset, _kernel
@@ -153,6 +152,8 @@ def confidence_intervals(
     empty = np.flatnonzero(N == 0)
     if empty.size:
         raise ValueError(f"no data points on the piece owning parameter {empty[0]}")
+    from scipy.special import ndtri  # deferred: importing pwafit needs no scipy
+
     z = float(ndtri(0.5 + level / 2.0))
     half = z * np.sqrt(np.maximum(np.diag(cov.C), 0.0) / N)
     return ConfidenceIntervals(lower=theta - half, upper=theta + half, level=level)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import PwaModel, pack, unpack
 from .objective import _UNSMOOTHED, Dataset, SmoothedLeastSquares
@@ -435,6 +434,8 @@ def _nelder_mead(
     data: Dataset, k1: int, k2: int, config: FitConfig, rng: np.random.Generator
 ) -> FitResult:
     """Gradient-free baseline: Nelder-Mead on the unsmoothed criterion."""
+    from scipy.optimize import minimize  # deferred: the smoothed fit needs no scipy
+
     objective = SmoothedLeastSquares(data.X, data.Y, k1, k2, _UNSMOOTHED.prox)
     n_free = objective.size
     x0 = rng.uniform(-_INIT_RADIUS, _INIT_RADIUS, n_free)

@@ -116,11 +116,11 @@ def preset(name: str, seed: int = 0) -> Scenario:
 
 def dataset_to_csv(data: Dataset, path) -> None:
     """Write ``x1,...,xd,y`` rows with shortest round-trip decimals."""
+    rows = np.column_stack([data.X, data.Y]).tolist()
     with open(path, "w", newline="\n") as fh:
         header = ",".join([f"x{i + 1}" for i in range(data.d)] + ["y"])
         fh.write(header + "\n")
-        for row, y in zip(data.X, data.Y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{float(y)!r}\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def dataset_from_csv(path) -> Dataset:

@@ -15,7 +15,8 @@ import pwafit
 from pwafit.cli import main
 from pwafit.inference import confidence_intervals, line_parameters, plugin_covariance
 from pwafit.model import MaxAffine, PwaModel, convex_model, model_from_json_dict, model_to_json_dict
-from pwafit.simulate import dataset_from_csv
+from pwafit.optimizer import FitConfig, fit_pool
+from pwafit.simulate import dataset_from_csv, generate, preset
 
 
 def run(*args):
@@ -461,10 +462,24 @@ def test_invalid_input_exits_2_without_output(tmp_path, capsys, argv):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports this pwafit."""
+    paths = [str(Path(pwafit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+def fresh_python(code):
+    """Stdout of ``code`` run by a fresh interpreter, which must exit 0."""
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
 def test_module_entry_exit_status(tmp_path):
     # runs console_entry's sys.exit(main()) in a fresh interpreter
-    paths = [str(Path(pwafit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = fresh_env()
 
     def status(*argv):
         return subprocess.run(
@@ -479,15 +494,49 @@ def test_module_entry_exit_status(tmp_path):
     assert not out.exists()
 
 
-def test_import_leaves_scipy_stats_out():
-    # the interval quantile is scipy.special.ndtri; scipy.stats is a large import
-    paths = [str(Path(pwafit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    code = "import sys, pwafit, pwafit.cli; print('scipy.stats' in sys.modules)"
-    res = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+def test_import_leaves_scipy_out():
+    # scipy serves only Nelder-Mead and the interval quantile; both import it
+    # where they run
+    code = (
+        "import sys, pwafit, pwafit.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert res.returncode == 0 and res.stdout.strip() == "False"
+    assert fresh_python(code).strip() == "[]"
+
+
+# The deferred scipy imports run only in an interpreter that has not loaded
+# scipy yet, which this one may have; these run them in a fresh one.
+LAZY_SETUP = """
+import sys
+from pwafit import FitConfig, fit_pool, generate, preset
+data = generate(preset("broken-stick-200", seed=7))
+"""
+
+
+def test_lazy_interval_quantile_gives_the_same_bytes():
+    code = LAZY_SETUP + """
+from pwafit import confidence_intervals, plugin_covariance
+res = fit_pool(data, 2, 0, "sqerr", FitConfig(mu_target=0.01, restarts_pool=1, seed=7))
+cov = plugin_covariance(res.model, data)
+assert "scipy" not in sys.modules
+ci = confidence_intervals(res, cov)
+print(ci.lower.tobytes().hex(), ci.upper.tobytes().hex())
+"""
+    data = generate(preset("broken-stick-200", seed=7))
+    res = fit_pool(data, 2, 0, "sqerr", FitConfig(mu_target=0.01, restarts_pool=1, seed=7))
+    ci = confidence_intervals(res, plugin_covariance(res.model, data))
+    assert fresh_python(code).split() == [ci.lower.tobytes().hex(), ci.upper.tobytes().hex()]
+
+
+def test_lazy_nelder_mead_runs():
+    code = LAZY_SETUP + """
+assert "scipy" not in sys.modules
+res = fit_pool(data, 2, 0, "sqerr", FitConfig(restarts_pool=1, seed=7), method="nelder-mead")
+print(repr(res.empirical_norm))
+"""
+    data = generate(preset("broken-stick-200", seed=7))
+    res = fit_pool(data, 2, 0, "sqerr", FitConfig(restarts_pool=1, seed=7), method="nelder-mead")
+    assert fresh_python(code).strip() == repr(res.empirical_norm)
 
 
 def test_run_all_experiments_script_writes_every_output(tmp_path, monkeypatch):

@@ -89,11 +89,18 @@ def test_plane_pair_constraints_hold():
             assert abs(b2 - b1) <= float(np.sum(np.abs(a1 - a2)))
 
 
+# -0.0, subnormals, huge and integral values, which a per-field
+# repr(float(v)) spells in its own way
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.0, -3.0, 2.0**53, 1e16]
+
+
 @given(
     hnp.arrays(
         np.float64,
         st.tuples(st.integers(1, 8), st.integers(2, 4)),
-        elements=st.floats(allow_nan=False, allow_infinity=False),
+        elements=st.one_of(
+            st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+        ),
     )
 )
 @settings(max_examples=50, deadline=None)
@@ -107,9 +114,13 @@ def test_csv_roundtrip_is_exact(table):
             raw = fh.read()
     assert back.X.tobytes() == data.X.tobytes()
     assert back.Y.tobytes() == data.Y.tobytes()
+    # the bytes are a header and one repr(float(v)) per field, "\n"-ended
     header = ",".join([f"x{i + 1}" for i in range(data.d)] + ["y"])
-    assert raw.startswith(header.encode() + b"\n")
-    assert b"\r" not in raw
+    rows = [
+        ",".join(repr(float(v)) for v in row) + f",{float(y)!r}\n"
+        for row, y in zip(data.X, data.Y)
+    ]
+    assert raw == (header + "\n" + "".join(rows)).encode()
 
 
 def test_csv_skips_blank_and_whitespace_only_lines(tmp_path):
