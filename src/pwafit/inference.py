@@ -8,6 +8,7 @@ intersecting lines/planes).  Parameters are ordered piece by piece:
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -128,6 +129,74 @@ def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> 
     return CovarianceEstimate(M=M, C=C, sigma2_hat=sigma2, segment_counts=counts)
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the upper half only: the same tables, Horner order and
+# branch tests, so the quantile is bit-equal to scipy.special.ndtri.  The Q
+# tables hold the leading 1.0 that Cephes' p1evl implies; as 1.0 * x == x,
+# _polevl sums them to p1evl's bits.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+# central branch, 0.5 <= p <= 1 - exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# tail, x = sqrt(-2 log(1 - p)) in [2, 8)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# far tail, x >= 8, i.e. 1 - p <= exp(-32)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile for ``0.5 <= p <= 1``; ``inf`` at ``p = 1``."""
+    if p == 1.0:
+        return math.inf
+    if p <= 1.0 - _EXP_M2:
+        y = p - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(1.0 - p))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    return x0 - x1
+
+
 def confidence_intervals(
     estimate: FitResult | np.ndarray, cov: CovarianceEstimate, level: float = 0.95
 ) -> ConfidenceIntervals:
@@ -137,6 +206,10 @@ def confidence_intervals(
     parameter ``i``.  Because ``C`` comes from moments scaled by ``1/n``,
     these are exactly ``sqrt(n/N_i)`` times wider than per-piece OLS
     intervals with the same ``sigma2_hat``.
+
+    ``z`` is the normal quantile at ``0.5 + level / 2``, computed by a port of
+    Cephes ``ndtri`` that is bit-equal to ``scipy.special.ndtri``.  A level
+    so close to 1 that ``0.5 + level / 2`` rounds to 1 raises ``ValueError``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -152,9 +225,9 @@ def confidence_intervals(
     empty = np.flatnonzero(N == 0)
     if empty.size:
         raise ValueError(f"no data points on the piece owning parameter {empty[0]}")
-    from scipy.special import ndtri  # deferred: importing pwafit needs no scipy
-
-    z = float(ndtri(0.5 + level / 2.0))
+    z = _normal_quantile(0.5 + level / 2.0)
+    if not math.isfinite(z):
+        raise ValueError(f"level {level!r} is too close to 1: its normal quantile is infinite")
     half = z * np.sqrt(np.maximum(np.diag(cov.C), 0.0) / N)
     return ConfidenceIntervals(lower=theta - half, upper=theta + half, level=level)
 

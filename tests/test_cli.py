@@ -232,6 +232,18 @@ def test_ci_bad_level_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_ci_level_too_close_to_one_exits_2(tmp_path, capsys):
+    # 0.5 + level / 2 rounds to 1 here, so the quantile would be infinite
+    code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, 0.0]]), "0.9999999999999999")
+    assert code == 2
+    assert "too close to 1" in capsys.readouterr().err
+    assert not out.exists()
+    code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, 0.0]]), "0.9999999999999998")
+    assert code == 0
+    payload = strict_json(out)
+    assert np.all(np.isfinite(payload["lower"])) and np.all(np.isfinite(payload["upper"]))
+
+
 def test_ci_non_numeric_level_message(tmp_path, capsys):
     code, out = run_ci(tmp_path, convex_model([[1.0, 0.0], [-1.0, 0.0]]), level="abc")
     assert code == 2
@@ -495,8 +507,7 @@ def test_module_entry_exit_status(tmp_path):
 
 
 def test_import_leaves_scipy_out():
-    # scipy serves only Nelder-Mead and the interval quantile; both import it
-    # where they run
+    # scipy serves only Nelder-Mead, which imports it where it runs
     code = (
         "import sys, pwafit, pwafit.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -504,32 +515,42 @@ def test_import_leaves_scipy_out():
     assert fresh_python(code).strip() == "[]"
 
 
-# The deferred scipy imports run only in an interpreter that has not loaded
-# scipy yet, which this one may have; these run them in a fresh one.
-LAZY_SETUP = """
-import sys
-from pwafit import FitConfig, fit_pool, generate, preset
-data = generate(preset("broken-stick-200", seed=7))
-"""
-
-
-def test_lazy_interval_quantile_gives_the_same_bytes():
-    code = LAZY_SETUP + """
-from pwafit import confidence_intervals, plugin_covariance
-res = fit_pool(data, 2, 0, "sqerr", FitConfig(mu_target=0.01, restarts_pool=1, seed=7))
-cov = plugin_covariance(res.model, data)
-assert "scipy" not in sys.modules
-ci = confidence_intervals(res, cov)
+def test_intervals_load_no_scipy(tmp_path):
+    data, fit_out, out = tmp_path / "stick.csv", tmp_path / "fit.json", tmp_path / "ci.json"
+    assert run("simulate", "--preset", "broken-stick-200", "--seed", 7, "--out", data) == 0
+    assert run(
+        "fit", "--in", data, "--k1", 2, "--mu", 0.01, "--pool", 1, "--seed", 7, "--out", fit_out
+    ) == 0
+    code = f"""
+import json, sys
+from pwafit import confidence_intervals, dataset_from_csv, line_parameters, plugin_covariance
+from pwafit import model_from_json_dict
+from pwafit.cli import main
+model = model_from_json_dict(json.load(open({str(fit_out)!r}))["model"])
+ci = confidence_intervals(line_parameters(model), plugin_covariance(model, dataset_from_csv({str(data)!r})))
+assert main(["ci", "--in", {str(data)!r}, "--fit", {str(fit_out)!r}, "--out", {str(out)!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(ci.lower.tobytes().hex(), ci.upper.tobytes().hex())
 """
-    data = generate(preset("broken-stick-200", seed=7))
-    res = fit_pool(data, 2, 0, "sqerr", FitConfig(mu_target=0.01, restarts_pool=1, seed=7))
-    ci = confidence_intervals(res, plugin_covariance(res.model, data))
-    assert fresh_python(code).split() == [ci.lower.tobytes().hex(), ci.upper.tobytes().hex()]
+    loaded, hexes = fresh_python(code).strip().split("\n")
+    assert loaded == "[]"
+    model = model_from_json_dict(json.loads(fit_out.read_text())["model"])
+    ci = confidence_intervals(
+        line_parameters(model), plugin_covariance(model, dataset_from_csv(data))
+    )
+    assert hexes.split() == [ci.lower.tobytes().hex(), ci.upper.tobytes().hex()]
+    payload = strict_json(out)
+    assert np.array(payload["lower"]).tobytes() == ci.lower.tobytes()
+    assert np.array(payload["upper"]).tobytes() == ci.upper.tobytes()
 
 
 def test_lazy_nelder_mead_runs():
-    code = LAZY_SETUP + """
+    # the deferred scipy import runs only in an interpreter that has not
+    # loaded scipy yet, which this one may have
+    code = """
+import sys
+from pwafit import FitConfig, fit_pool, generate, preset
+data = generate(preset("broken-stick-200", seed=7))
 assert "scipy" not in sys.modules
 res = fit_pool(data, 2, 0, "sqerr", FitConfig(restarts_pool=1, seed=7), method="nelder-mead")
 print(repr(res.empirical_norm))

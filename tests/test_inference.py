@@ -6,6 +6,7 @@ from pwafit.inference import (
     CovarianceEstimate,
     Hinge1D,
     Hinge2D,
+    _normal_quantile,
     confidence_intervals,
     hinge_fit_1d,
     line_parameters,
@@ -177,6 +178,42 @@ def test_interval_validation():
         confidence_intervals(np.zeros(4), good, 1.5)
     with pytest.raises(ValueError):
         confidence_intervals(np.zeros(3), good, 0.95)
+
+
+def test_level_too_close_to_one_rejected():
+    good = CovarianceEstimate(
+        M=np.eye(4), C=np.eye(4), sigma2_hat=1.0,
+        segment_counts=np.array([10, 10]),
+    )
+    # 0.5 + level / 2 rounds to 1 here, which would make every bound infinite
+    with pytest.raises(ValueError, match="too close to 1"):
+        confidence_intervals(np.zeros(4), good, 0.9999999999999999)
+    ci = confidence_intervals(np.zeros(4), good, 0.9999999999999998)
+    assert np.all(np.isfinite(ci.lower)) and np.all(np.isfinite(ci.upper))
+
+
+def test_normal_quantile_is_bit_equal_to_scipy_ndtri():
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(2024)
+    # the far tail x >= 8 needs 1 - p < exp(-32) ~ 1.3e-14, where the only
+    # doubles are 1 - k 2^-53 for k <= 114: take them all, and their neighbours
+    grid = np.concatenate([
+        0.5 + 0.5 * rng.random(50_000),
+        1.0 - 10.0 ** -rng.uniform(np.log10(2.0), 14.0, 50_000),
+        1.0 - np.arange(1, 201) * 2.0**-53,
+        # the ends, and 0.5 + level / 2 at the levels the code uses
+        [0.5, 1.0] + [0.5 + level / 2.0 for level in (0.95, 0.9, 0.99)],
+    ])
+    assert grid.min() >= 0.5 and grid.max() <= 1.0
+    tail = 1.0 - grid
+    assert np.count_nonzero(grid <= 1.0 - np.exp(-2.0)) > 10_000
+    assert np.count_nonzero((tail < np.exp(-2.0)) & (tail > np.exp(-32.0))) > 10_000
+    assert np.count_nonzero((tail > 0.0) & (tail < np.exp(-32.0))) >= 114
+    ours = np.array([_normal_quantile(p) for p in grid.tolist()])
+    differ = np.flatnonzero(ours.view(np.int64) != ndtri(grid).view(np.int64))
+    assert differ.size == 0, grid[differ[:5]]
+    assert _normal_quantile(0.5) == 0.0 and _normal_quantile(1.0) == np.inf
 
 
 def test_empty_piece_rejected():
