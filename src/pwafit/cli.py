@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure.  Every
 primary output file gets a sibling ``<name>.manifest.json`` recording the
 command, configuration, seed, library version, and wall-clock timings.
+Timings go to the manifest only, so a primary output depends on nothing
+but its inputs and seed.
 """
 from __future__ import annotations
 
@@ -57,6 +59,11 @@ def _write_manifest(out_path, command: str, args: dict, timings: dict, outputs: 
     )
 
 
+def _move_times(rows: list[dict], key: str) -> dict:
+    """Take the ``time_mean_s`` column out of a study's rows, for the manifest."""
+    return {"time_mean_s": {str(row[key]): row.pop("time_mean_s") for row in rows}}
+
+
 def _write_table(path, rows: list[dict]) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")
@@ -94,14 +101,15 @@ def _level(text: str) -> float:
     return value
 
 
-# Each command does its work and returns ``(exit code, outputs)``; ``main``
-# writes the manifest of ``outputs[0]`` and turns input errors into exit 2.
+# Each command does its work and returns ``(exit code, outputs, timings)``;
+# ``main`` writes the manifest of ``outputs[0]`` with ``timings`` next to the
+# total, and turns input errors into exit 2.
 
 
 def _cmd_simulate(args):
     data = generate(preset(args.preset, seed=args.seed))
     dataset_to_csv(data, args.out)
-    return 0, [args.out]
+    return 0, [args.out], {}
 
 
 def _fit_result_json(res, config: FitConfig, prox: str) -> dict:
@@ -143,8 +151,8 @@ def _cmd_fit(args):
         outputs.append(args.fitted_csv)
     if not res.converged:
         print("warning: fit did not converge; best incumbent written", file=sys.stderr)
-        return 3, outputs
-    return 0, outputs
+        return 3, outputs, {}
+    return 0, outputs, {}
 
 
 def _cmd_ci(args):
@@ -162,7 +170,7 @@ def _cmd_ci(args):
         cov = plugin_covariance(model, data)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3, []
+        return 3, [], {}
     ci = confidence_intervals(theta, cov, args.level)
     _write_json(
         args.out,
@@ -178,24 +186,26 @@ def _cmd_ci(args):
             "C": cov.C.tolist(),
         },
     )
-    return 0, [args.out]
+    return 0, [args.out], {}
 
 
 def _cmd_compare(args):
     rows = compare_methods(
         args.preset, reps=args.reps, mu=args.mu, pool=args.pool, seed=args.seed
     )
+    timings = _move_times(rows, "method")
     _write_table(args.out, rows)
-    return 0, [args.out]
+    return 0, [args.out], timings
 
 
 def _cmd_experiment(args):
     os.makedirs(args.outdir, exist_ok=True)
     name = args.name
     base = os.path.join(args.outdir, name.replace("-", "_"))
-    rows = None
+    rows, timings = None, {}
     if name == "mu-sweep":
         rows = mu_sweep(reps=args.reps, pool=args.pool, seed=args.seed)
+        timings = _move_times(rows, "e")
         result = {"rows": rows}
     elif name == "restart-ecdf":
         result = restart_ecdf(n_fits=args.reps, seed=args.seed)
@@ -218,7 +228,7 @@ def _cmd_experiment(args):
     if rows is not None:
         _write_table(f"{base}.csv", rows)
         outputs.append(f"{base}.csv")
-    return 0, outputs
+    return 0, outputs, timings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a named simulation study")
     p_exp.add_argument("name", choices=_EXPERIMENTS)
-    p_exp.add_argument("--reps", type=_count, default=100)
-    p_exp.add_argument("--pool", type=_count, default=10)
+    p_exp.add_argument("--reps", type=_count, default=100, help="three-planes ignores it")
+    p_exp.add_argument("--pool", type=_count, default=10, help="restart-ecdf ignores it")
     p_exp.add_argument("--seed", type=_seed, default=0)
     p_exp.add_argument("--outdir", required=True)
     p_exp.set_defaults(func=_cmd_experiment)
@@ -284,7 +294,7 @@ def main(argv=None) -> int:
         for path in (vars(args).get("out"), vars(args).get("fitted_csv")):
             if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
                 raise FileNotFoundError(f"no such directory for output: {path}")
-        code, outputs = args.func(args)
+        code, outputs, timings = args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -293,9 +303,8 @@ def main(argv=None) -> int:
         return 2
     if outputs:
         recorded = {key: value for key, value in vars(args).items() if key != "func"}
-        _write_manifest(
-            outputs[0], args.command, recorded, {"total_s": time.perf_counter() - t0}, outputs
-        )
+        timings = {"total_s": time.perf_counter() - t0, **timings}
+        _write_manifest(outputs[0], args.command, recorded, timings, outputs)
     return code
 
 

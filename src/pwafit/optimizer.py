@@ -174,11 +174,10 @@ class _LockstepBfgs:
             self._accept(rows, trial[rows], tp[rows], ft[accepted], G)
         return self._ended
 
-    def _end(self, rows, status: str, steps) -> None:
-        rows = np.arange(self.ids.size)[rows]
-        for row, n in zip(rows, np.broadcast_to(steps, rows.shape)):
+    def _end(self, rows, status: str) -> None:
+        for row in np.arange(self.ids.size)[rows]:
             member, x, f = int(self.ids[row]), self.x[row].copy(), float(self.f[row])
-            self._ended.append((member, x, f, status, int(n)))
+            self._ended.append((member, x, f, status, int(self.step[row])))
         self.alive[rows] = False
 
     def _accept(self, rows, xn, s, fn, gn) -> None:
@@ -199,7 +198,7 @@ class _LockstepBfgs:
             bad = ~(np.isfinite(fn) & (gmax < np.inf)) | out
             worse = _sub(rows, bad)
             self.x[worse], self.f[worse] = xn[bad], fn[bad]
-            self._end(worse, "instability", self.step[worse])
+            self._end(worse, "instability")
             ok = ~bad
             rows, fn, gn, xn, s, gmax = _sub(rows, ok), fn[ok], gn[ok], xn[ok], s[ok], gmax[ok]
         H = self.H[rows]
@@ -228,17 +227,16 @@ class _LockstepBfgs:
                 H[update] = Hu
             self.H[rows] = H
         self.x[rows], self.f[rows], self.g[rows] = xn, fn, gn
-        steps = self.step[rows]
         # the scalar loop's order: a small gradient and step, the step
         # limit, a small gradient
         conv = gmax < self.tol
         smax = np.maximum.reduce(np.abs(s), axis=1)
-        maxed = (steps >= self.max_steps) & ~(conv & (smax < self.tol))
+        maxed = (self.step[rows] >= self.max_steps) & ~(conv & (smax < self.tol))
         conv &= ~maxed
         stop = conv | maxed
         if _count(stop):
-            self._end(_sub(rows, conv), "converged", steps[conv])
-            self._end(_sub(rows, maxed), "maxiter", steps[maxed])
+            self._end(_sub(rows, conv), "converged")
+            self._end(_sub(rows, maxed), "maxiter")
             go = ~stop
             rows, gn, H = _sub(rows, go), gn[go], H[go]
         self.step[rows] += 1
@@ -263,8 +261,8 @@ class _LockstepBfgs:
             # no descent possible along p; a near-zero gradient means we are done
             ro = rows[out]
             flat = np.maximum.reduce(np.abs(self.g[ro]), axis=1) < math.sqrt(self.tol)
-            self._end(ro[flat], "converged", self.step[ro[flat]])
-            self._end(ro[~flat], "instability", self.step[ro[~flat]])
+            self._end(ro[flat], "converged")
+            self._end(ro[~flat], "instability")
 
 
 _count = np.count_nonzero

@@ -257,13 +257,6 @@ def test_criterion_09_hinge_exactness(capsys):
     )
 
 
-def _strip_time_columns(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    keep = [i for i, name in enumerate(header) if not name.endswith("_s")]
-    return [",".join(line.split(",")[i] for i in keep) for line in lines]
-
-
 def test_criterion_10_cli_determinism(capsys, tmp_path):
     runs = []
     for tag in ("a", "b"):
@@ -294,7 +287,7 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
     a, b = runs
     identical = all(
         filecmp.cmp(a / name, b / name, shallow=False)
-        for name in ("data.csv", "fit.json", "fitted.csv", "ci.json")
+        for name in ("data.csv", "fit.json", "fitted.csv", "ci.json", "compare.csv")
     )
     identical = identical and (
         (a / "exp" / "restart_ecdf.csv").read_bytes()
@@ -303,13 +296,7 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
     sa = json.loads((a / "exp" / "restart_ecdf_summary.json").read_text())
     sb = json.loads((b / "exp" / "restart_ecdf_summary.json").read_text())
     identical = identical and sa == sb
-    # the comparison table records wall times in a *_s column; the
-    # deterministic fields must still agree exactly
-    identical = identical and (
-        _strip_time_columns(a / "compare.csv") == _strip_time_columns(b / "compare.csv")
-    )
     report(
         capsys, 10, "CLI reruns reproduce outputs byte for byte", ok=identical,
-        detail="simulate/fit/ci/experiment outputs identical; "
-        "compare table identical outside its wall-time column",
+        detail="simulate/fit/ci/compare/experiment outputs identical",
     )

@@ -421,11 +421,29 @@ def test_compare_table_shape(tmp_path):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "method,R_mean,time_mean_s,reps"
+    assert lines[0] == "method,R_mean,reps"
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"smoothed", "nelder-mead"}
-    for line in lines[1:]:
-        assert float(line.split(",")[2]) > 0.0
+    # the wall times are in the manifest, not the table
+    times = strict_json(tmp_path / "compare.csv.manifest.json")["timings"]["time_mean_s"]
+    assert set(times) == methods
+    assert all(t > 0.0 for t in times.values())
+
+
+def test_experiment_mu_sweep_reruns_identical_with_times_in_manifest(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for outdir in runs:
+        argv = ["experiment", "mu-sweep", "--reps", 1, "--pool", 1, "--seed", 5]
+        assert run(*argv, "--outdir", outdir) == 0
+    a, b = runs
+    for name in ("mu_sweep.csv", "mu_sweep_summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    with open(a / "mu_sweep.csv", newline="") as fh:
+        levels = [row["e"] for row in csv.DictReader(fh)]
+    assert len(levels) == 10
+    times = strict_json(a / "mu_sweep_summary.json.manifest.json")["timings"]["time_mean_s"]
+    assert list(times) == levels
+    assert all(t > 0.0 for t in times.values())
 
 
 def test_experiment_three_planes(tmp_path):
