@@ -86,19 +86,24 @@ def _at_least(low: int):
     return parse
 
 
-_count = _at_least(1)  # --pool and --reps
+def _between(low: float, high: float, what: str):
+    """``type=`` for a float option strictly between ``low`` and ``high``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+_count = _at_least(1)  # --k1, --pool and --reps
 _seed = _at_least(0)
-
-
-def _level(text: str) -> float:
-    """``type=`` for ``--level``: a number strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
+_positive = _between(0.0, math.inf, "positive and finite")  # --mu and --tol
 
 
 # Each command does its work and returns ``(exit code, outputs, timings)``;
@@ -244,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a PWA model to CSV data")
     p_fit.add_argument("--in", dest="infile", required=True)
-    p_fit.add_argument("--k1", type=int, required=True)
-    p_fit.add_argument("--k2", type=int, default=0)
+    p_fit.add_argument("--k1", type=_count, required=True)
+    p_fit.add_argument("--k2", type=_at_least(0), default=0)
     p_fit.add_argument("--prox", choices=["entropy", "sqerr"], default="sqerr")
-    p_fit.add_argument("--mu", type=float, default=0.1)
-    p_fit.add_argument("--tol", type=float, default=1e-5)
+    p_fit.add_argument("--mu", type=_positive, default=0.1)
+    p_fit.add_argument("--tol", type=_positive, default=1e-5)
     p_fit.add_argument("--pool", type=_count, default=10)
     p_fit.add_argument("--seed", type=_seed, default=0)
     p_fit.add_argument("--out", required=True)
@@ -258,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci = sub.add_parser("ci", help="confidence intervals for a two-piece fit")
     p_ci.add_argument("--in", dest="infile", required=True)
     p_ci.add_argument("--fit", required=True)
-    p_ci.add_argument("--level", type=_level, default=0.95)
+    p_ci.add_argument("--level", type=_between(0.0, 1.0, "in (0, 1)"), default=0.95)
     p_ci.add_argument("--out", required=True)
     p_ci.set_defaults(func=_cmd_ci)
 
     p_cmp = sub.add_parser("compare", help="smoothed fit vs Nelder-Mead on a preset")
     p_cmp.add_argument("--preset", required=True)
     p_cmp.add_argument("--reps", type=_count, default=100)
-    p_cmp.add_argument("--mu", type=float, default=0.1)
+    p_cmp.add_argument("--mu", type=_positive, default=0.1)
     p_cmp.add_argument("--pool", type=_count, default=10)
     p_cmp.add_argument("--seed", type=_seed, default=0)
     p_cmp.add_argument("--out", required=True)

@@ -73,10 +73,10 @@ class SmoothedLeastSquares:
     ``theta`` (its smoothed value is exactly 0 for both proxes).
     :meth:`value` takes one ``theta`` with a scalar ``mu``, or a ``(P, m)``
     stack with one ``mu`` per member; each member's value and gradient carry
-    the same bits as its one-member call.  A caller stacks at most
-    ``members_per_call`` members per call.  :meth:`value` keeps the weights
+    the same bits as its one-member call.  :meth:`value` keeps the weights
     and residuals that :meth:`gradient` needs, so a gradient costs no second
-    smoothing pass.
+    smoothing pass.  :meth:`evaluate` gives both for a stack of any size and
+    alone decides how many members share one call.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, k1: int, k2: int, prox: Prox):
@@ -88,7 +88,7 @@ class SmoothedLeastSquares:
         self.k1, self.k2, self.d = k1, k2, X.shape[1]
         self.size = (k1 + k2) * (self.d + 1)  # the length of theta
         self.prox = prox
-        self.members_per_call = max(1, _STACK_PIECE_VALUES // ((k1 + k2) * X.shape[0]))
+        self._members_per_call = max(1, _STACK_PIECE_VALUES // ((k1 + k2) * X.shape[0]))
         self._cache = None
 
     def _part(self, theta, offset, k, mu):
@@ -130,41 +130,54 @@ class SmoothedLeastSquares:
         W.flags.writeable = False
         return W[0] if single else W
 
-    def gradient(self, rows: np.ndarray | None = None) -> np.ndarray:
+    def gradient(self) -> np.ndarray:
         """Gradient at the point(s) of the last :meth:`value` call, pack layout.
 
-        ``rows`` picks members of a stacked call, all when ``None``, and
-        gives a ``(len(rows), m)`` array.  Equals ``-(2/n) sum_i r_i *
-        grad_theta g_mu(X_i)`` with residuals ``r_i = Y_i - g_mu(X_i)``; the
-        part2 block carries the opposite sign.
+        Equals ``-(2/n) sum_i r_i * grad_theta g_mu(X_i)`` with residuals
+        ``r_i = Y_i - g_mu(X_i)``; the part2 block carries the opposite sign.
         """
         single, weights, R = self._cache
         X = self.X
         scale = -2.0 / X.shape[0]
-        if rows is not None and len(rows) < R.shape[0]:
-            weights = [(W[rows], sign) for W, sign in weights]
-            R = R[rows]
         r = R[:, :, None]
         blocks = []
-        for W, sign in weights:
-            # W is the (n, k) view of a piece-major buffer.  The BLAS products
-            # sum in a layout-dependent order, so they get (n, k)-ordered
-            # copies of W and of W * r, which keeps the gradient bit-identical
-            # to that of an (n, k) kernel.  A ufunc writing through the
-            # piece-major view of each copy runs its inner loop over n; a
-            # strided copy or a broadcast over (n, k) runs it over k.
-            Wt = W.transpose(0, 2, 1)
-            Wn, WR = np.empty((2,) + W.shape)
-            np.positive(Wt, out=Wn.transpose(0, 2, 1))
-            np.multiply(Wt, R[:, None, :], out=WR.transpose(0, 2, 1))
-            s = sign * scale
-            WR *= s
-            blocks += [
-                (WR.transpose(0, 2, 1) @ X).reshape(R.shape[0], -1),
-                s * (Wn.transpose(0, 2, 1) @ r)[..., 0],
-            ]
+        # a non-finite value gets a non-finite gradient, as silently as in value
+        with np.errstate(over="ignore", invalid="ignore"):
+            for W, sign in weights:
+                # W is the (n, k) view of a piece-major buffer.  The BLAS products
+                # sum in a layout-dependent order, so they get (n, k)-ordered
+                # copies of W and of W * r: the gradient keeps the bits of an
+                # (n, k) kernel.  A ufunc writing through the piece-major view of
+                # each copy runs its inner loop over n; a strided copy or a
+                # broadcast over (n, k) runs it over k.
+                Wt = W.transpose(0, 2, 1)
+                Wn, WR = np.empty((2,) + W.shape)
+                np.positive(Wt, out=Wn.transpose(0, 2, 1))
+                np.multiply(Wt, R[:, None, :], out=WR.transpose(0, 2, 1))
+                s = sign * scale
+                WR *= s
+                blocks += [
+                    (WR.transpose(0, 2, 1) @ X).reshape(R.shape[0], -1),
+                    s * (Wn.transpose(0, 2, 1) @ r)[..., 0],
+                ]
         G = np.concatenate(blocks, axis=1)
         return G[0] if single else G
+
+    def evaluate(self, theta: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(P,)`` and gradients ``(P, m)`` of a ``(P, m)`` stack with
+        one ``mu`` per member.
+
+        Consecutive slices of the stack take one :meth:`value` and one
+        :meth:`gradient` call each; a slice holds the members whose piece
+        values fit in ``_STACK_PIECE_VALUES``, at least one.  Every member's
+        value and gradient row are the bits of its one-member call.
+        """
+        step = self._members_per_call
+        values, grads = [], []
+        for lo in range(0, len(theta), step):
+            values.append(self.value(theta[lo : lo + step], mu[lo : lo + step]))
+            grads.append(self.gradient())
+        return np.concatenate(values), np.concatenate(grads)
 
 
 def _kernel(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> SmoothedLeastSquares:

@@ -5,7 +5,7 @@ value above one; each stage's BFGS run is warm-started from the previous
 optimum.  Non-convergence or numerical trouble restarts the whole
 schedule from a fresh random initial point.  The members of a pool run in
 lockstep: one BFGS engine holds their stacked state and evaluates their
-points together, one stacked kernel call per round.  A gradient-free
+points together, one kernel ``evaluate`` call per round.  A gradient-free
 Nelder-Mead baseline on the unsmoothed criterion is available through
 ``fit_pool(..., method="nelder-mead")`` for comparisons.
 """
@@ -85,13 +85,11 @@ class _LockstepBfgs:
     update, Armijo backtracking).
 
     Each round every running member submits one point: its start point or
-    its next Armijo trial.  ``value(members, points)`` evaluates up to
-    ``per_call`` of them as one ``(len(members), m)`` stack;
-    ``gradient(rows)`` then returns the gradients at the given rows of that
-    stack, so gradients are formed only at start and accepted points, while
-    the stack's values are still in cache.  A start is step 0: a zero step
-    to the start point, accepted whatever its value, through the same
-    accept path as every other step.  Every member keeps its own
+    its next Armijo trial.  One ``evaluate(members, points)`` call per round
+    returns the values and gradients of the whole ``(len(members), m)``
+    stack; the gradient of a rejected trial goes unused.  A start is step
+    0: a zero step to the start point, accepted whatever its value, through
+    the same accept path as every other step.  Every member keeps its own
     iterate, inverse Hessian, Armijo step, step count and status, so it
     takes exactly the steps it would take alone.
 
@@ -108,8 +106,8 @@ class _LockstepBfgs:
 
     _ROW_STATE = ("ids", "x", "g", "p", "H", "f", "gp", "t", "step", "alive")
 
-    def __init__(self, members: int, size: int, tol: float, max_steps: int, per_call: int):
-        self.tol, self.max_steps, self.per_call = tol, max_steps, per_call
+    def __init__(self, members: int, size: int, tol: float, max_steps: int):
+        self.tol, self.max_steps = tol, max_steps
         self.ids = np.arange(members)
         self.x = np.zeros((members, size))
         self.g = np.zeros((members, size))
@@ -136,7 +134,7 @@ class _LockstepBfgs:
         self.step[row] = 0
         self.alive[row] = True
 
-    def round(self, value, gradient) -> list[tuple[int, np.ndarray, float, str, int]]:
+    def round(self, evaluate) -> list[tuple[int, np.ndarray, float, str, int]]:
         """Advance every running member by one evaluation.
 
         Returns the runs that ended, as ``(member, x, f, status, steps)`` with
@@ -149,21 +147,9 @@ class _LockstepBfgs:
         self._ended = []
         tp = self.t[:, None] * self.p
         trial = self.x + tp
-        calls = []
-        for lo in range(0, self.ids.size, self.per_call):
-            rows = slice(lo, lo + self.per_call)
-            ft = value(self.ids[rows], trial[rows])
-            armijo = np.isfinite(ft) & (ft <= self.f[rows] + 1e-4 * self.t[rows] * self.gp[rows])
-            accepted = (self.step[rows] == 0) | armijo
-            G = gradient(accepted.nonzero()[0]) if _count(accepted) else None
-            calls.append((ft, accepted, G))
-        if len(calls) == 1:
-            ft, accepted, G = calls[0]
-        else:
-            ft = np.concatenate([c[0] for c in calls])
-            accepted = np.concatenate([c[1] for c in calls])
-            grads = [c[2] for c in calls if c[2] is not None]
-            G = np.concatenate(grads) if grads else None
+        ft, G = evaluate(self.ids, trial)
+        armijo = np.isfinite(ft) & (ft <= self.f + 1e-4 * self.t * self.gp)
+        accepted = (self.step == 0) | armijo
         n_acc = _count(accepted)
         if n_acc < accepted.size:
             self._reject((~accepted).nonzero()[0])
@@ -171,7 +157,7 @@ class _LockstepBfgs:
             self._accept(slice(None), trial, tp, ft, G)
         elif n_acc:
             rows = accepted.nonzero()[0]
-            self._accept(rows, trial[rows], tp[rows], ft[accepted], G)
+            self._accept(rows, trial[rows], tp[rows], ft[rows], G[rows])
         return self._ended
 
     def _end(self, rows, status: str) -> None:
@@ -286,8 +272,6 @@ def _default_rng(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def _make_result(kernel, spec, v_free, trace, restarts, converged) -> FitResult:
-    # the value calls replace the kernel's cache; the engine forms every
-    # gradient within round, so a result made between rounds is safe
     v = np.asarray(v_free, dtype=float)
     full = np.concatenate([v, np.zeros(kernel.d + 1)]) if kernel.k2 == 0 else v
     model = unpack(full, kernel.k1, max(kernel.k2, 1), kernel.d).normalize()
@@ -330,15 +314,13 @@ def _anneal(
 
     Each member anneals ``mu`` down the schedule of ``spec.mu`` and restarts
     the schedule from a fresh draw of its own rng on failure; its stage runs
-    share one BFGS engine and one stacked kernel call per round with the
+    share one BFGS engine and one kernel ``evaluate`` call per round with the
     other members, at whatever stage each member is.  Member ``i``'s result
     is the one a pool of one with rng ``rngs[i]`` gives.
     """
     kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, spec.prox)
     stages = anneal_schedule(spec.mu)
-    bfgs = _LockstepBfgs(
-        len(rngs), kernel.size, config.tolerance, _MAX_NEWTON_STEPS, kernel.members_per_call
-    )
+    bfgs = _LockstepBfgs(len(rngs), kernel.size, config.tolerance, _MAX_NEWTON_STEPS)
     members = [_Member(rng) for rng in rngs]
     mu = np.empty(len(rngs))
 
@@ -351,13 +333,10 @@ def _anneal(
         mu[i] = stages[members[i].stage]
         bfgs.start(i, members[i].v)
 
-    def value(idx: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return kernel.value(points, mu[idx])
-
     for i in range(len(members)):
         begin_attempt(i)
     while bfgs.running:
-        for i, x, f, status, steps in bfgs.round(value, kernel.gradient):
+        for i, x, f, status, steps in bfgs.round(lambda idx, pts: kernel.evaluate(pts, mu[idx])):
             m = members[i]
             if status == "converged":
                 m.v = x

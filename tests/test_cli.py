@@ -269,6 +269,35 @@ def test_negative_seed_error_names_the_flag(tmp_path, capsys, argv):
     assert sorted(tmp_path.rglob("*")) == []
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("fit", "--k1", "0", "must be at least 1, got 0"),
+        ("fit", "--k1", "1.5", "not an integer: '1.5'"),
+        ("fit", "--k2", "-1", "must be at least 0, got -1"),
+        ("fit", "--mu", "0", "must be positive and finite, got 0"),
+        ("fit", "--mu", "inf", "must be positive and finite, got inf"),
+        ("fit", "--tol", "-1", "must be positive and finite, got -1"),
+        ("fit", "--tol", "nan", "must be positive and finite, got nan"),
+        ("compare", "--mu", "-0.1", "must be positive and finite, got -0.1"),
+        ("compare", "--mu", "abc", "not a number: 'abc'"),
+    ],
+)
+def test_bad_flag_value_is_named_before_any_input_is_read(
+    tmp_path, capsys, command, flag, value, message
+):
+    # the input does not exist: parsing rejects the flag before it is read
+    source = {
+        "fit": ["--in", tmp_path / "missing.csv", "--k1", 1],
+        "compare": ["--preset", "no-such-preset"],
+    }[command]
+    assert run(command, *source, flag, value, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "missing.csv" not in err and "no-such-preset" not in err
+    assert sorted(tmp_path.rglob("*")) == []
+
+
 def test_ci_fit_json_without_model_exits_2(tmp_path, capsys):
     data = tmp_path / "plane.csv"
     write_plane_csv(data)
@@ -478,10 +507,16 @@ def test_version_flag():
         ],
         ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--seed", -1, "--out", "{tmp}/f.json"],
         ["experiment", "three-planes", "--seed", -2, "--outdir", "{tmp}/ex"],
+        ["fit", "--in", "{tmp}/plane.csv", "--k1", 0, "--out", "{tmp}/f.json"],
+        ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--k2", -1, "--out", "{tmp}/f.json"],
+        ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--mu", 0, "--out", "{tmp}/f.json"],
+        ["fit", "--in", "{tmp}/plane.csv", "--k1", 1, "--tol", -1, "--out", "{tmp}/f.json"],
+        ["compare", "--preset", "broken-stick-200", "--mu", 0, "--out", "{tmp}/compare.csv"],
     ],
     ids=[
         "experiment-pool-0", "experiment-reps-0", "compare-reps-0", "simulate-no-dir", "fit-no-dir",
-        "fit-csv-no-dir", "fit-seed-negative", "experiment-seed-negative",
+        "fit-csv-no-dir", "fit-seed-negative", "experiment-seed-negative", "fit-k1-0",
+        "fit-k2-negative", "fit-mu-0", "fit-tol-negative", "compare-mu-0",
     ],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, argv):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwafit import objective
 from pwafit.model import MaxAffine, PwaModel, convex_model, pack, unpack
 from pwafit.objective import (
     Dataset,
@@ -237,7 +240,7 @@ def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
 )
 def test_stacked_members_carry_their_one_member_bits(name, prox, k1, k2):
     # a (P, m) stack with one mu per member: each member's value and gradient
-    # equal its one-member call, and gradient(rows) picks rows of the stack
+    # equal its one-member call
     data = generate(preset(name, seed=5))
     m = (k1 + k2) * (data.d + 1)
     thetas = np.random.default_rng(6).uniform(-1.5, 1.5, (5, m))
@@ -246,11 +249,32 @@ def test_stacked_members_carry_their_one_member_bits(name, prox, k1, k2):
     values = kernel.value(thetas, mus)
     grads = kernel.gradient()
     assert values.shape == (5,) and grads.shape == (5, m)
-    rows = np.array([1, 3, 4])
-    assert np.array_equal(kernel.gradient(rows), grads[rows])
     for theta, mu, value, grad in zip(thetas, mus, values, grads):
         assert kernel.value(theta, mu) == value
         assert np.array_equal(kernel.gradient(), grad)
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+def test_evaluate_gives_each_member_its_one_member_bits(prox, monkeypatch):
+    # five members in 2-member kernel calls; member 1's sqerr Z / mu and
+    # member 3's smoothed values overflow, which makes their rows
+    # non-finite, silently, and leaves the other members' bits alone
+    data = generate(preset("broken-stick-200", seed=5))
+    monkeypatch.setattr(objective, "_STACK_PIECE_VALUES", 2 * 3 * data.n)
+    kernel = SmoothedLeastSquares(data.X, data.Y, 2, 1, prox)
+    assert kernel._members_per_call == 2
+    thetas = np.random.default_rng(6).uniform(-1.5, 1.5, (5, kernel.size))
+    thetas[3, 2:4] = 1.7e308  # part1's intercepts
+    mus = np.array([1.6, 1e-320, 0.05, 0.8, 0.01])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, grads = kernel.evaluate(thetas, mus)
+        solo = [(kernel.value(theta, mu), kernel.gradient()) for theta, mu in zip(thetas, mus)]
+    assert values.shape == (5,) and grads.shape == (5, kernel.size)
+    assert values.tobytes() == np.array([value for value, _ in solo]).tobytes()
+    assert grads.tobytes() == np.array([grad for _, grad in solo]).tobytes()
+    finite = np.isfinite(values) & np.all(np.isfinite(grads), axis=1)
+    assert finite.tolist() == [True, prox == Prox.ENTROPY, True, False, True]
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.05])
@@ -324,7 +348,7 @@ def reference_smooth_max(Z, prox, mu):
     return vals, Wt.swapaxes(-1, -2)
 
 
-def reference_kernel(X, Y, theta, k1, k2, prox, mu, rows=None):
+def reference_kernel(X, Y, theta, k1, k2, prox, mu):
     """Values and gradients of a ``(P, m)`` stack."""
     d, XT = X.shape[1], np.ascontiguousarray(X.T)
 
@@ -342,9 +366,6 @@ def reference_kernel(X, Y, theta, k1, k2, prox, mu, rows=None):
         weights.append((W2, -1.0))
     R = Y - fitted
     values = np.add.reduce(R * R, axis=1) / R.shape[1]
-    if rows is not None:
-        weights = [(W[rows], sign) for W, sign in weights]
-        R = R[rows]
     r, blocks = R[:, :, None], []
     for W, sign in weights:
         W = np.ascontiguousarray(W)
@@ -406,7 +427,3 @@ def test_kernel_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k1, k2):
     assert np.array_equal(kernel.value(thetas, mus), want_values)
     assert np.array_equal(thetas, before)
     assert np.array_equal(kernel.gradient(), want_grads)
-    if P > 1:
-        rows = np.array([0, 2])
-        _, want_rows = reference_kernel(data.X, data.Y, thetas, k1, k2, prox, mus, rows)
-        assert np.array_equal(kernel.gradient(rows), want_rows)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pwafit import optimizer
+from pwafit import objective, optimizer
 from pwafit.model import convex_model
 from pwafit.objective import Dataset, empirical_norm
 from pwafit.optimizer import (
@@ -62,49 +62,41 @@ def test_config_rejects_negative_seed():
 
 
 class QuadraticStack:
-    """Member i minimizes 0.5 x'A_i x - b_i'x; the value at every gradient
-    call (start and accepted points) is kept as member i's history."""
+    """Member i minimizes 0.5 x'A_i x - b_i'x."""
 
     def __init__(self, A, b):
         self.A, self.b = np.asarray(A), np.asarray(b)
-        self.history = [[] for _ in self.A]
 
-    def value(self, members, X):
-        self.members, self.X = members, X
+    def evaluate(self, members, X):
         Ax = (self.A[members] @ X[:, :, None])[..., 0]
-        self.f = 0.5 * np.sum(X * Ax, axis=1) - np.sum(self.b[members] * X, axis=1)
-        return self.f
-
-    def gradient(self, rows):
-        members = self.members[rows]
-        for i, f in zip(members, self.f[rows]):
-            self.history[i].append(f)
-        return (self.A[members] @ self.X[rows, :, None])[..., 0] - self.b[members]
+        f = 0.5 * np.sum(X * Ax, axis=1) - np.sum(self.b[members] * X, axis=1)
+        return f, Ax - self.b[members]
 
 
 class Counted:
-    """``problem`` with a count of the value evaluations of each member."""
+    """``problem`` with a count of the evaluations of each member."""
 
     def __init__(self, problem, members):
         self.problem, self.evals = problem, np.zeros(members, dtype=int)
 
-    def value(self, members, X):
+    def evaluate(self, members, X):
         np.add.at(self.evals, members, 1)
-        return self.problem.value(members, X)
-
-    def gradient(self, rows):
-        return self.problem.gradient(rows)
+        return self.problem.evaluate(members, X)
 
 
-def run_bfgs(objective, X0, tol, max_steps, per_call=None):
-    """Run one BFGS member per row of X0 to its end; (x, f, status, steps) each."""
-    bfgs = _LockstepBfgs(len(X0), X0.shape[1], tol, max_steps, per_call or len(X0))
+def run_bfgs(objective, X0, tol, max_steps, accepted=None):
+    """Run one BFGS member per row of X0 to its end; (x, f, status, steps)
+    each.  ``accepted[i]`` gets member i's value after each of its rounds."""
+    bfgs = _LockstepBfgs(len(X0), X0.shape[1], tol, max_steps)
     for i, x0 in enumerate(X0):
         bfgs.start(i, x0)
     ended = {}
     while bfgs.running:
-        for i, *res in bfgs.round(objective.value, objective.gradient):
+        for i, *res in bfgs.round(objective.evaluate):
             ended[i] = tuple(res)
+        if accepted is not None:
+            for i, f in zip(bfgs.ids, bfgs.f):
+                accepted[i].append(f)
     return [ended[i] for i in range(len(X0))]
 
 
@@ -112,11 +104,14 @@ def test_bfgs_on_quadratic():
     A = np.array([[3.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, -1.0])
     target = np.linalg.solve(A, b)
-    quadratic = QuadraticStack([A], [b])
-    [(x, f, status, steps)] = run_bfgs(quadratic, np.array([[5.0, -7.0]]), 1e-8, 100)
-    history = quadratic.history[0]
-    assert status == "converged"
+    history = [[]]
+    [(x, f, status, steps)] = run_bfgs(
+        QuadraticStack([A], [b]), np.array([[5.0, -7.0]]), 1e-8, 100, history
+    )
+    history = history[0]
+    assert status == "converged" and history[-1] == f
     assert np.allclose(x, target, atol=1e-6)
+    assert len(history) > steps > 1
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
 
 
@@ -130,10 +125,7 @@ def test_lockstep_bfgs_members_equal_solo_runs():
     X0 = rng.uniform(-3, 3, (2, 4))
     stacked = run_bfgs(QuadraticStack(A, b), X0, 1e-8, 200)
     assert stacked[0][3] != stacked[1][3]
-    # one member per objective call, as for large n
-    split = run_bfgs(QuadraticStack(A, b), X0, 1e-8, 200, per_call=1)
     for i, (x, f, status, steps) in enumerate(stacked):
-        assert np.array_equal(x, split[i][0]) and (f, status, steps) == tuple(split[i][1:])
         solo = QuadraticStack(A[i : i + 1], b[i : i + 1])
         [(x1, f1, status1, steps1)] = run_bfgs(solo, X0[i : i + 1], 1e-8, 200)
         assert status == status1 == "converged"
@@ -141,12 +133,12 @@ def test_lockstep_bfgs_members_equal_solo_runs():
         assert np.allclose(x, np.linalg.solve(A[i], b[i]), atol=1e-6)
 
 
-def reference_bfgs(value, gradient, x0, tol, max_steps):
+def reference_bfgs(evaluate, x0, tol, max_steps):
     """The scalar BFGS loop (inverse-Hessian update, Armijo backtracking)
-    that every member of the lockstep engine must reproduce bit for bit."""
+    that every member of the lockstep engine must reproduce bit for bit;
+    ``evaluate(x)`` gives the value and gradient at ``x``."""
     x = np.array(x0, dtype=float)
-    f = value(x)
-    g = gradient()
+    f, g = evaluate(x)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         return x, f, "instability", 0
     H = np.eye(x.size)
@@ -162,7 +154,7 @@ def reference_bfgs(value, gradient, x0, tol, max_steps):
         t = 1.0
         for _ in range(60):
             xn = x + t * p
-            fn = value(xn)
+            fn, gn = evaluate(xn)
             if np.isfinite(fn) and fn <= f + 1e-4 * t * gp:
                 break
             t *= 0.5
@@ -170,7 +162,6 @@ def reference_bfgs(value, gradient, x0, tol, max_steps):
             if np.max(np.abs(g)) < np.sqrt(tol):
                 return x, f, "converged", step
             return x, f, "instability", step
-        gn = gradient()
         if np.max(np.abs(xn)) > 1e4 or not np.all(np.isfinite(gn)):
             return xn, fn, "instability", step
         s = t * p
@@ -204,20 +195,14 @@ class QuarticStack:
         self.c = rng.uniform(-3, 3, members) * (rng.random(members) < 0.5)
         self.r = 10 ** rng.uniform(0, 3, members)
 
-    def value(self, members, X):
-        self.members, self.X = members, X
-        Ax = (self.A[members] @ X[:, :, None])[:, :, 0]
-        F = 0.5 * np.sum(X * Ax, axis=1) - np.sum(self.b[members] * X, axis=1)
-        F = F + self.a[members] * np.sum(X**4, axis=1)
-        F[np.sum(X * X, axis=1) > 4 * self.r[members] ** 2] = np.inf
-        return F
-
-    def gradient(self, rows):
-        i, X = self.members[rows], self.X[rows]
-        G = (self.A[i] @ X[:, :, None])[:, :, 0] - self.b[i] + 4 * self.a[i, None] * X**3
-        G = G + self.c[i, None] * X[:, ::-1]
+    def evaluate(self, i, X):
+        Ax = (self.A[i] @ X[:, :, None])[:, :, 0]
+        F = 0.5 * np.sum(X * Ax, axis=1) - np.sum(self.b[i] * X, axis=1)
+        F = F + self.a[i] * np.sum(X**4, axis=1)
+        F[np.sum(X * X, axis=1) > 4 * self.r[i] ** 2] = np.inf
+        G = Ax - self.b[i] + 4 * self.a[i, None] * X**3 + self.c[i, None] * X[:, ::-1]
         G[np.sum(X * X, axis=1) > self.r[i] ** 2] = np.nan
-        return G
+        return F, G
 
 
 class Cliff:
@@ -227,39 +212,36 @@ class Cliff:
     def __init__(self, X0, G, w):
         self.X0, self.G, self.w = X0, G, w
 
-    def value(self, members, X):
-        self.members = members
+    def evaluate(self, members, X):
         dist = np.max(np.abs(X - self.X0[members]), axis=1)
-        return np.where(dist == 0.0, 0.0, np.where(dist <= self.w[members], -1.0, 1.0))
-
-    def gradient(self, rows):
-        return self.G[self.members[rows]]
+        F = np.where(dist == 0.0, 0.0, np.where(dist <= self.w[members], -1.0, 1.0))
+        return F, self.G[members]
 
 
 @pytest.mark.parametrize("start_H", ["identity", "negated identity"])
 def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
-    # stacks of 2-5 members, some split over several objective calls; a
-    # negated start matrix sends every first step through the reset to
-    # steepest descent
+    # stacks of 2-5 members; a negated start matrix sends every first step
+    # through the reset to steepest descent
     rng = np.random.default_rng(11)
     cases = []
     for _ in range(12):
         P, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         X0 = rng.uniform(-3, 3, (P, m)) * 10 ** rng.uniform(-1, 3)
         cases.append((QuarticStack(rng, P, m), X0, 10 ** rng.uniform(-9, -4),
-                      int(rng.integers(3, 60)), int(rng.integers(1, P + 1))))
+                      int(rng.integers(3, 60))))
+        rng.integers(1, P + 1)  # a spare draw keeps the cases drawn after it
     # Armijo steps that run out: after the last backtrack a gradient below
     # sqrt(tol) counts as converged, a larger one as instability; the third
     # member's step is accepted at the 60th and last trial, t = 2^-59
     X0 = np.vstack([rng.uniform(-1, 1, (2, 4)), np.zeros(4)])
     G = np.array([1e-6, 1e-2, 1e-2])[:, None] * np.ones(4)
     cliff = Cliff(X0, G, np.array([0.0, 0.0, 1.5 * 2.0**-59 * 1e-2]))
-    cases.append((cliff, X0, 1e-8, 20, 3))
+    cases.append((cliff, X0, 1e-8, 20))
     # linear, unbounded below: unit steps run the iterate past the box
     linear = QuarticStack(rng, 2, 3)
     linear.A[:], linear.a[:], linear.c[:], linear.r[:] = 0.0, 0.0, 0.0, np.inf
     linear.b *= 3e3
-    cases.append((linear, rng.uniform(-1, 1, (2, 3)), 1e-8, 50, 1))
+    cases.append((linear, rng.uniform(-1, 1, (2, 3)), 1e-8, 50))
     # start outcomes: a start at the minimizer (b = A x0 exactly, so g = 0)
     # converges at step 0; inside the box, a quartic term of 1e301 sum(x^4)
     # overflows a start value while its gradient is finite; a start beyond
@@ -271,7 +253,7 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     starts.b[:] = [[1.0, -5.0, 24.0], [1.0, -5.0, 24.0], [1.0, -1.0, 1.0]]
     starts.a[:], starts.c[:], starts.r[:] = [0.0, 1e301, 0.0], 0.0, np.inf
     X0 = np.array([[0.5, -1.25, 3.0], [100.0, 100.0, 100.0], [2e4, -2e4, 2e4]])
-    cases += [(starts, X0[:2], 1e-8, 20, 2), (starts, X0, 1e-8, 20, 3)]
+    cases += [(starts, X0[:2], 1e-8, 20), (starts, X0, 1e-8, 20)]
     # the step limit against convergence: from the identity, the second
     # member's gradient and step both fall below tol at step 8, which
     # converges even when 8 is the last step allowed; the third member's
@@ -281,24 +263,24 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     last.A[:], last.b[:] = np.diag([1.0, 2.0, 4.0]), [1.0, -5.0, 24.0]
     last.a[:], last.c[:], last.r[:] = 0.0, 0.0, np.inf
     X0 = np.array([[0.5, -1.25, 3.0], [1.0, 1.0, 1.0], [-2.0, 0.0, 2.0]])
-    cases += [(last, X0, 1e-8, 8, 3), (last, X0, 1e-8, 7, 3)]
+    cases += [(last, X0, 1e-8, 8), (last, X0, 1e-8, 7)]
     if start_H == "negated identity":
         eye = np.eye
         monkeypatch.setattr(np, "eye", lambda n, *a, **k: -eye(n, *a, **k))
     statuses, at_limit = set(), set()
     with np.errstate(all="ignore"):
-        for problem, X0, tol, max_steps, per_call in cases:
+        for problem, X0, tol, max_steps in cases:
             counted = Counted(problem, len(X0))
-            stacked = run_bfgs(counted, X0, tol, max_steps, per_call)
+            stacked = run_bfgs(counted, X0, tol, max_steps)
             for i, (x, f, status, steps) in enumerate(stacked):
                 points = []
 
-                def value(x, i=i):
+                def evaluate(x, i=i):
                     points.append(x)
-                    return problem.value(np.array([i]), x[None])[0]
+                    F, G = problem.evaluate(np.array([i]), x[None])
+                    return F[0], G[0]
 
-                want = reference_bfgs(value, lambda: problem.gradient(np.array([0]))[0],
-                                      X0[i], tol, max_steps)
+                want = reference_bfgs(evaluate, X0[i], tol, max_steps)
                 assert np.array_equal(x, want[0])
                 assert f == want[1] or (np.isnan(f) and np.isnan(want[1]))
                 assert (status, steps) == want[2:]
@@ -332,7 +314,7 @@ def test_lockstep_members_equal_their_solo_fits(
 ):
     data = generate(preset(name, seed=1))
     kernel = SmoothedLeastSquares(data.X, data.Y, 2, k2, prox)
-    assert (kernel.members_per_call < pool) == split
+    assert (kernel._members_per_call < pool) == split
     monkeypatch.setattr(optimizer, "_MAX_NEWTON_STEPS", steps)
     monkeypatch.setattr(optimizer, "_MAX_RESTARTS", 2)
     cfg = FitConfig(mu_target=0.1, restarts_pool=pool, seed=1)
@@ -349,6 +331,29 @@ def test_lockstep_members_equal_their_solo_fits(
         assert (res.restarts_used, res.converged) == (solo.restarts_used, solo.converged)
         if not res.converged:
             assert res.restarts_used == 2 and np.isfinite(res.empirical_norm)
+
+
+@pytest.mark.parametrize(
+    "name,seed,k2,prox,pool",
+    [("broken-stick-200", 7, 0, "sqerr", 10), ("planes-d2", 3, 1, "entropy", 4)],
+)
+def test_stacking_never_moves_a_number(name, seed, k2, prox, pool, monkeypatch):
+    # the default cap stacks the whole pool in one kernel call; one member,
+    # three members (a short last call) or any number per call give the
+    # same fitted bytes
+    data = generate(preset(name, seed=seed))
+    cfg = FitConfig(mu_target=0.1, restarts_pool=pool, seed=seed)
+    assert SmoothedLeastSquares(data.X, data.Y, 2, k2, prox)._members_per_call >= pool
+
+    def outcome():
+        res = fit_pool(data, 2, k2, prox, cfg)
+        return (res.theta_hat.tobytes(), repr(res.empirical_norm), repr(res.objective_value),
+                res.anneal_trace, res.restarts_used)
+
+    want = outcome()
+    for cap in (1, 3 * (2 + k2) * data.n, 2**40):
+        monkeypatch.setattr(objective, "_STACK_PIECE_VALUES", cap)
+        assert outcome() == want
 
 
 def test_recovers_single_plane_noiselessly():
