@@ -2,8 +2,9 @@
 
 The target smoothing level ``mu`` is reached by halving from an initial
 value above one; each stage's BFGS run is warm-started from the previous
-optimum.  Non-convergence or numerical trouble restarts the whole
-schedule from a fresh random initial point.  The members of a pool run in
+stage's optimum and the inverse Hessian its run ended with.  Non-convergence
+or numerical trouble restarts the whole schedule from a fresh random initial
+point and the identity.  The members of a pool run in
 lockstep: one BFGS engine holds their stacked state and evaluates their
 points together, one kernel ``evaluate`` call per round.  A gradient-free
 Nelder-Mead baseline on the unsmoothed criterion is available through
@@ -89,9 +90,11 @@ class _LockstepBfgs:
     returns the values and gradients of the whole ``(len(members), m)``
     stack; the gradient of a rejected trial goes unused.  A start is step
     0: a zero step to the start point, accepted whatever its value, through
-    the same accept path as every other step.  Every member keeps its own
-    iterate, inverse Hessian, Armijo step, step count and status, so it
-    takes exactly the steps it would take alone.
+    the same accept path as every other step; its zero step takes no
+    update, so a run starts from the identity or from the inverse Hessian
+    the member's last run ended with.  Every member keeps its own iterate,
+    inverse Hessian, Armijo step, step count and status, so it takes exactly
+    the steps it would take alone.
 
     One stop test ends a run at its current step, in the scalar loop's
     order: converged if ``max|g|`` and ``max|s|`` are below ``tol``, else
@@ -124,13 +127,17 @@ class _LockstepBfgs:
     def running(self) -> bool:
         return bool(_count(self.alive))
 
-    def start(self, i: int, x0: np.ndarray) -> None:
-        """Begin a run of member ``i`` from ``x0``; ``i`` must still hold a
-        row, so a member is started again in the round its run ended."""
+    def start(self, i: int, x0: np.ndarray, keep_H: bool = False) -> None:
+        """Begin a run of member ``i`` from ``x0``, with the identity as its
+        inverse Hessian or, with ``keep_H``, the one its last run ended with;
+        ``i`` must still hold a row, so a member is started again in the
+        round its run ended."""
         row = int(np.searchsorted(self.ids, i))
-        # the start is step 0: a zero step to x0 with the identity as H
-        # (t > 0, and x0 + t * -0.0 is x0 bit for bit)
-        self.x[row], self.p[row], self.H[row] = x0, -0.0, np.eye(self.x.shape[1])
+        # the start is step 0: a zero step to x0 (t > 0, and x0 + t * -0.0 is
+        # x0 bit for bit)
+        self.x[row], self.p[row] = x0, -0.0
+        if not keep_H:
+            self.H[row] = np.eye(self.x.shape[1])
         self.step[row] = 0
         self.alive[row] = True
 
@@ -331,7 +338,9 @@ def _anneal(
 
     def begin_stage(i: int) -> None:
         mu[i] = stages[members[i].stage]
-        bfgs.start(i, members[i].v)
+        # a later stage's minimum lies close to the last one's, and so does
+        # its curvature
+        bfgs.start(i, members[i].v, keep_H=members[i].stage > 0)
 
     for i in range(len(members)):
         begin_attempt(i)
@@ -368,9 +377,10 @@ def fit(data: Dataset, k1: int, k2: int, prox: Prox | str, config: FitConfig) ->
     """Annealed quasi-Newton least-squares fit: member 0 of :func:`fit_pool`.
 
     ``mu`` is halved from above one down to ``config.mu_target``, each stage
-    a BFGS run of at most 200 steps warm-started at the previous optimum.  On
-    non-convergence or numerical failure the whole schedule restarts from a
-    fresh random point, up to 50 times; if all attempts fail the best
+    a BFGS run of at most 200 steps warm-started at the previous optimum with
+    the inverse Hessian the previous run ended with.  On non-convergence or
+    numerical failure the whole schedule restarts from a fresh random point
+    and the identity, up to 50 times; if all attempts fail the best
     incumbent is returned with ``converged=False``.
     """
     spec = SmoothingSpec(prox, config.mu_target)

@@ -84,20 +84,24 @@ class Counted:
         return self.problem.evaluate(members, X)
 
 
-def run_bfgs(objective, X0, tol, max_steps, accepted=None):
+def run_bfgs(objective, X0, tol, max_steps, accepted=None, X1=None):
     """Run one BFGS member per row of X0 to its end; (x, f, status, steps)
-    each.  ``accepted[i]`` gets member i's value after each of its rounds."""
+    each.  ``accepted[i]`` gets member i's value after each of its rounds.
+    With ``X1``, member i starts again from ``X1[i]`` in the round its first
+    run ended, keeping its inverse Hessian, and both runs are returned."""
     bfgs = _LockstepBfgs(len(X0), X0.shape[1], tol, max_steps)
     for i, x0 in enumerate(X0):
         bfgs.start(i, x0)
-    ended = {}
+    runs = [[] for _ in X0]
     while bfgs.running:
         for i, *res in bfgs.round(objective.evaluate):
-            ended[i] = tuple(res)
+            runs[i].append(tuple(res))
+            if X1 is not None and len(runs[i]) == 1:
+                bfgs.start(i, X1[i], keep_H=True)
         if accepted is not None:
             for i, f in zip(bfgs.ids, bfgs.f):
                 accepted[i].append(f)
-    return [ended[i] for i in range(len(X0))]
+    return runs if X1 is not None else [run for run, in runs]
 
 
 def test_bfgs_on_quadratic():
@@ -133,18 +137,20 @@ def test_lockstep_bfgs_members_equal_solo_runs():
         assert np.allclose(x, np.linalg.solve(A[i], b[i]), atol=1e-6)
 
 
-def reference_bfgs(evaluate, x0, tol, max_steps):
+def reference_bfgs(evaluate, x0, tol, max_steps, H0=None):
     """The scalar BFGS loop (inverse-Hessian update, Armijo backtracking)
     that every member of the lockstep engine must reproduce bit for bit;
-    ``evaluate(x)`` gives the value and gradient at ``x``."""
+    ``evaluate(x)`` gives the value and gradient at ``x``.  The inverse
+    Hessian starts at ``H0`` (the identity by default); the run's end is
+    returned with it, as ``(x, f, status, steps, H)``."""
     x = np.array(x0, dtype=float)
+    H = np.eye(x.size) if H0 is None else np.array(H0)
     f, g = evaluate(x)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return x, f, "instability", 0
-    H = np.eye(x.size)
+        return x, f, "instability", 0, H
     for step in range(1, max_steps + 1):
         if np.max(np.abs(g)) < tol:
-            return x, f, "converged", step - 1
+            return x, f, "converged", step - 1, H
         p = -H @ g
         gp = float(g @ p)
         if not np.isfinite(gp) or gp >= 0.0:
@@ -160,10 +166,10 @@ def reference_bfgs(evaluate, x0, tol, max_steps):
             t *= 0.5
         else:
             if np.max(np.abs(g)) < np.sqrt(tol):
-                return x, f, "converged", step
-            return x, f, "instability", step
+                return x, f, "converged", step, H
+            return x, f, "instability", step, H
         if np.max(np.abs(xn)) > 1e4 or not np.all(np.isfinite(gn)):
-            return xn, fn, "instability", step
+            return xn, fn, "instability", step, H
         s = t * p
         y = gn - g
         sy = float(s @ y)
@@ -174,9 +180,9 @@ def reference_bfgs(evaluate, x0, tol, max_steps):
                 rho * float(y @ Hy) + 1.0
             ) * np.outer(s, s)
         if max(np.max(np.abs(gn)), np.max(np.abs(s))) < tol:
-            return xn, fn, "converged", step
+            return xn, fn, "converged", step, H
         x, f, g = xn, fn, gn
-    return x, f, "maxiter", max_steps
+    return x, f, "maxiter", max_steps, H
 
 
 class QuarticStack:
@@ -221,7 +227,9 @@ class Cliff:
 @pytest.mark.parametrize("start_H", ["identity", "negated identity"])
 def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     # stacks of 2-5 members; a negated start matrix sends every first step
-    # through the reset to steepest descent
+    # through the reset to steepest descent.  Every member starts a second
+    # run, from another member's start point, in the round its first run
+    # ends, and keeps the inverse Hessian that run ended with.
     rng = np.random.default_rng(11)
     cases = []
     for _ in range(12):
@@ -271,8 +279,9 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     with np.errstate(all="ignore"):
         for problem, X0, tol, max_steps in cases:
             counted = Counted(problem, len(X0))
-            stacked = run_bfgs(counted, X0, tol, max_steps)
-            for i, (x, f, status, steps) in enumerate(stacked):
+            X1 = X0[::-1]
+            stacked = run_bfgs(counted, X0, tol, max_steps, X1=X1)
+            for i, runs in enumerate(stacked):
                 points = []
 
                 def evaluate(x, i=i):
@@ -280,15 +289,17 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
                     F, G = problem.evaluate(np.array([i]), x[None])
                     return F[0], G[0]
 
-                want = reference_bfgs(evaluate, X0[i], tol, max_steps)
-                assert np.array_equal(x, want[0])
-                assert f == want[1] or (np.isnan(f) and np.isnan(want[1]))
-                assert (status, steps) == want[2:]
+                H = None
+                for x0, (x, f, status, steps) in zip((X0[i], X1[i]), runs, strict=True):
+                    *want, H = reference_bfgs(evaluate, x0, tol, max_steps, H0=H)
+                    assert np.array_equal(x, want[0])
+                    assert f == want[1] or (np.isnan(f) and np.isnan(want[1]))
+                    assert (status, steps) == tuple(want[2:])
+                    statuses.add(status)
+                    if steps == max_steps:
+                        at_limit.add(status)
                 # no member evaluates a point more often than it would alone
                 assert counted.evals[i] == len(points)
-                statuses.add(status)
-                if steps == max_steps:
-                    at_limit.add(status)
     # each way out of a run is taken (from a negated start, only a member
     # that starts at its minimizer converges)
     expected = {"converged", "maxiter", "instability"} if start_H == "identity" else set()
@@ -331,6 +342,26 @@ def test_lockstep_members_equal_their_solo_fits(
         assert (res.restarts_used, res.converged) == (solo.restarts_used, solo.converged)
         if not res.converged:
             assert res.restarts_used == 2 and np.isfinite(res.empirical_norm)
+
+
+def test_a_fresh_attempt_starts_from_the_identity(monkeypatch):
+    # this member's first attempt ends at the step limit of its first stage,
+    # and its second attempt converges; that attempt must be the fit of an
+    # rng that skips the first start draw, keeping nothing of the failed
+    # attempt's inverse Hessian
+    data = generate(preset("broken-stick-200", seed=1))
+    monkeypatch.setattr(optimizer, "_MAX_NEWTON_STEPS", 26)
+    monkeypatch.setattr(optimizer, "_MAX_RESTARTS", 2)
+    cfg = FitConfig(mu_target=0.1, seed=1)
+    spec = SmoothingSpec("sqerr", 0.1)
+    [retried] = _anneal(data, 2, 0, spec, cfg, [_default_rng(1, 1)])
+    assert retried.converged and retried.restarts_used == 1
+    rng = _default_rng(1, 1)
+    rng.uniform(-optimizer._INIT_RADIUS, optimizer._INIT_RADIUS, 4)  # k2 = 0: 4 free parameters
+    [fresh] = _anneal(data, 2, 0, spec, cfg, [rng])
+    assert fresh.converged and fresh.restarts_used == 0
+    assert np.array_equal(retried.theta_hat, fresh.theta_hat)
+    assert retried.anneal_trace == fresh.anneal_trace
 
 
 @pytest.mark.parametrize(
@@ -496,42 +527,41 @@ def test_subnormal_mu_target_fits_without_error_or_warning(prox, monkeypatch):
         assert not res.converged and not np.isfinite(res.objective_value)
 
 
-# Fitted numbers of fit_pool recorded before the objective became one
-# flat-array kernel (x86_64, numpy 2.4 with OpenBLAS 0.3.31).  A refactor of
-# the fit path must reproduce them bit for bit; another BLAS or libm build
-# may round differently.
+# Fitted numbers of fit_pool recorded once each anneal stage started from the
+# inverse Hessian its member's previous stage ended with (x86_64, numpy 2.4
+# with OpenBLAS 0.3.31).  A refactor of the fit path must reproduce them bit
+# for bit; another BLAS or libm build may round differently.
 PINNED_FITS = [
     (
         ("broken-stick-200", 7, 2, 0, "sqerr", 0.01, 10),
-        "0.01070421619805118",
-        [(1.28, 0.012049454958756986, 25), (0.64, 0.011000492368613573, 14),
-         (0.32, 0.010630992974733975, 12), (0.16, 0.01065155123259471, 13),
-         (0.08, 0.010682979524073967, 13), (0.04, 0.010697536092258599, 13),
-         (0.02, 0.010697967701503911, 12), (0.01, 0.01069796768960182, 12)],
+        "0.010704188353869422",
+        [(1.28, 0.012049454958756986, 25), (0.64, 0.011000492198504288, 8),
+         (0.32, 0.010630992967945873, 4), (0.16, 0.010651551159046306, 4),
+         (0.08, 0.010682979623792752, 2), (0.04, 0.010697536255660264, 2),
+         (0.02, 0.010697967683306135, 3), (0.01, 0.010697968210090447, 1)],
     ),
     (
         ("broken-stick-200", 7, 2, 0, "entropy", 0.01, 10),
-        "0.010745947378352076",
-        [(1.28, 0.012345087730861936, 31), (0.64, 0.011794445066642432, 17),
-         (0.32, 0.011135592540378703, 15), (0.16, 0.010705043966974555, 13),
-         (0.08, 0.010628945374602737, 12), (0.04, 0.010666820824972341, 13),
-         (0.02, 0.010690547526466459, 12), (0.01, 0.010697242686863838, 12)],
+        "0.01074594179248225",
+        [(1.28, 0.012345087512163753, 34), (0.64, 0.011794445125875814, 9),
+         (0.32, 0.011135592526418363, 9), (0.16, 0.010705043964587773, 4),
+         (0.08, 0.010628945356532445, 4), (0.04, 0.010666821480245977, 2),
+         (0.02, 0.01069054746949881, 3), (0.01, 0.010697242770139241, 2)],
     ),
     (
         ("planes-d2", 3, 2, 1, "sqerr", 0.1, 2),
-        "0.01126706226436056",
-        [(1.6, 0.016419240069821643, 35), (0.8, 0.012313224263900246, 14),
-         (0.4, 0.010792100464343334, 14), (0.2, 0.010668252314700675, 13),
-         (0.1, 0.01065467948265263, 10)],
+        "0.011267079670287332",
+        [(1.6, 0.01641924005729837, 22), (0.8, 0.012313224257594301, 7),
+         (0.4, 0.01079210046605844, 5), (0.2, 0.010668252024693894, 4),
+         (0.1, 0.010654678870025955, 3)],
     ),
-    # n = 10^4, where the kernel products run through BLAS; recorded with the
-    # (n, k) kernel, before the piece values became piece-major
+    # n = 10^4, where the kernel products run through BLAS
     (
         ("planes-d4", 3, 2, 0, "sqerr", 0.1, 2),
-        "0.010550290408073619",
-        [(1.6, 0.0158481370117119, 33), (0.8, 0.01148953749489831, 17),
-         (0.4, 0.010226578067342394, 13), (0.2, 0.00999184271001675, 7),
-         (0.1, 0.009951669709474897, 13)],
+        "0.010550260277177176",
+        [(1.6, 0.01584813700702427, 26), (0.8, 0.011489537523532522, 9),
+         (0.4, 0.010226578427935264, 6), (0.2, 0.009991842283859848, 3),
+         (0.1, 0.00995167009952134, 2)],
     ),
 ]
 
