@@ -83,8 +83,10 @@ class SmoothedLeastSquares:
         if k1 < 1 or k2 < 0:
             raise ValueError("k1 must be >= 1 and k2 >= 0")
         self.X, self.Y = X, Y
-        # piece values are formed piece-major, (k, n), from one contiguous X'
-        self.XT = np.ascontiguousarray(X.T)
+        # piece values are formed piece-major, (k, n), from X', the first d
+        # rows of one contiguous [X, 1]', which gives the gradient blocks
+        self.X1T = np.ascontiguousarray(np.column_stack([X, np.ones(X.shape[0])]).T)
+        self.XT = self.X1T[:-1]
         self.k1, self.k2, self.d = k1, k2, X.shape[1]
         self.size = (k1 + k2) * (self.d + 1)  # the length of theta
         self.prox = prox
@@ -137,29 +139,18 @@ class SmoothedLeastSquares:
         ``r_i = Y_i - g_mu(X_i)``; the part2 block carries the opposite sign.
         """
         single, weights, R = self._cache
-        X = self.X
-        scale = -2.0 / X.shape[0]
-        r = R[:, :, None]
+        P, n = R.shape
         blocks = []
         # a non-finite value gets a non-finite gradient, as silently as in value
         with np.errstate(over="ignore", invalid="ignore"):
+            r = R * (-2.0 / n)
             for W, sign in weights:
-                # W is the (n, k) view of a piece-major buffer.  The BLAS products
-                # sum in a layout-dependent order, so they get (n, k)-ordered
-                # copies of W and of W * r: the gradient keeps the bits of an
-                # (n, k) kernel.  A ufunc writing through the piece-major view of
-                # each copy runs its inner loop over n; a strided copy or a
-                # broadcast over (n, k) runs it over k.
-                Wt = W.transpose(0, 2, 1)
-                Wn, WR = np.empty((2,) + W.shape)
-                np.positive(Wt, out=Wn.transpose(0, 2, 1))
-                np.multiply(Wt, R[:, None, :], out=WR.transpose(0, 2, 1))
-                s = sign * scale
-                WR *= s
-                blocks += [
-                    (WR.transpose(0, 2, 1) @ X).reshape(R.shape[0], -1),
-                    s * (Wn.transpose(0, 2, 1) @ r)[..., 0],
-                ]
+                # W is the (n, k) view of a piece-major buffer: one product of
+                # W' * r with [X, 1] gives the part's slope and intercept blocks
+                B = np.multiply(W.transpose(0, 2, 1), r[:, None, :]) @ self.X1T.T
+                if sign < 0:
+                    np.negative(B, out=B)
+                blocks += [B[..., :-1].reshape(P, -1), B[..., -1]]
         G = np.concatenate(blocks, axis=1)
         return G[0] if single else G
 

@@ -79,24 +79,13 @@ def _sort_threshold(c: np.ndarray) -> np.ndarray:
     single = c.ndim == 1
     V = (c[None, :] if single else c).swapaxes(-1, -2)
     k = V.shape[-2]
-    # each chain below runs in place on this function's own fresh arrays,
-    # with the operations and their order of the sort-and-threshold formula
-    if k == 2:
-        # the sort of two rows; the cumulative sums add in the same order
-        hi = np.maximum(V[..., 0, :], V[..., 1, :])
-        lo = np.minimum(V[..., 0, :], V[..., 1, :])
-        # lam = max(hi - 1, ((hi + lo) - 1) / 2)
-        np.add(hi, lo, out=lo)
-        lo -= 1.0
-        lo /= 2.0
-        hi -= 1.0
-        lam = np.maximum(hi, lo, out=hi)
-    else:
-        U = np.sort(V, axis=-2)[..., ::-1, :]
-        U = np.cumsum(U, axis=-2)
-        U -= 1.0
-        U /= np.arange(1, k + 1)[:, None]
-        lam = np.maximum.reduce(U, axis=-2)
+    # this chain runs in place on this function's own fresh arrays, with the
+    # operations and their order of the sort-and-threshold formula
+    U = np.sort(V, axis=-2)[..., ::-1, :]
+    U = np.cumsum(U, axis=-2)
+    U -= 1.0
+    U /= np.arange(1, k + 1)[:, None]
+    lam = np.maximum.reduce(U, axis=-2)
     w = V - lam[..., None, :]
     np.maximum(w, 0.0, out=w)
     w = w.swapaxes(-1, -2)
@@ -134,8 +123,10 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
     row maxima and one-hot weights on the maximizing piece, ties going to
     the lowest index as in ``argmax``.  Per-member levels must be positive;
     a level that is negative, zero per member, NaN or infinite raises
-    ``ValueError``.  With sqerr, a point whose ``Z / mu`` overflows may get
-    non-finite weights and value; it raises no error.
+    ``ValueError``.  Sqerr with two pieces divides ``z1 - z2`` by ``mu``, so
+    no positive level is too small for it; with sqerr and ``k != 2``, a point
+    whose ``Z / mu`` overflows may get non-finite weights and value; it
+    raises no error.
 
     The work runs on the piece-major view of ``Z`` (its last two axes
     swapped), so each reduction over pieces combines k long rows.  A caller
@@ -175,14 +166,30 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
         vals += zmax
         E /= S[..., None, :]
         return vals, E.swapaxes(-1, -2)
+    if k == 2:
+        # the projection's closed form, w1 = clip((1 + (z1 - z2) / mu) / 2,
+        # 0, 1) and w2 = 1 - w1; vals = w1 z1 + w2 z2 - mu (w1 - 1/2)^2
+        z1, z2 = Zt[..., 0, :], Zt[..., 1, :]
+        Wt = np.empty(Zt.shape)
+        w1, w2 = Wt[..., 0, :], Wt[..., 1, :]
+        np.subtract(z1, z2, out=w1)
+        w1 /= mu
+        w1 += 1.0
+        w1 /= 2.0
+        np.maximum(w1, 0.0, out=w1)  # np.clip costs more per call at small n
+        np.minimum(w1, 1.0, out=w1)
+        np.subtract(1.0, w1, out=w2)
+        vals = w1 * z1
+        rho = w2 * z2
+        vals += rho
+        np.subtract(w1, 0.5, out=rho)
+        np.square(rho, out=rho)
+        rho *= mu
+        vals -= rho
+        return vals, Wt.swapaxes(-1, -2)
     C = Zt / mu[..., None]
     C -= 1.0 / k
-    try:
-        Wt = project_simplex(C.swapaxes(-1, -2)).swapaxes(-1, -2)
-    except ValueError:
-        # Z / mu overflowed: project unchecked, so only the points it hit
-        # lose their bits (project_simplex stays the call perfbench times)
-        Wt = _sort_threshold(C.swapaxes(-1, -2)).swapaxes(-1, -2)
+    Wt = _sort_threshold(C.swapaxes(-1, -2)).swapaxes(-1, -2)
     # rho = (0.5 * sum_j (w_j - 1/k)^2) * mu, then vals = sum_j w_j z_j - rho
     D = Wt - 1.0 / k
     np.square(D, out=D)

@@ -424,9 +424,10 @@ def test_ci_non_finite_covariance_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name,sigma2_repr,counts,c_digest",
     [
-        ("broken-stick-200", "0.010704188353869422", [86, 114], "737da51655c7d72e"),
-        ("planes-d2", "0.010320437464180592", [44, 56], "e6addb7cd12a5e93"),
+        ("broken-stick-200", "0.010704188353869297", [86, 114], "c14d9295b1497d29"),
+        ("planes-d2", "0.010320437464180597", [44, 56], "51af21d8fba3e67c"),
     ],
+    ids=["broken-stick-200", "planes-d2"],
 )
 def test_ci_numbers_are_pinned(tmp_path, name, sigma2_repr, counts, c_digest):
     data, fit_out, out = tmp_path / "data.csv", tmp_path / "fit.json", tmp_path / "ci.json"

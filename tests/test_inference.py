@@ -112,6 +112,18 @@ def test_smoothed_counts_are_the_hard_assignment():
         assert repr(cov.sigma2_hat) == repr(plug.sigma2_hat)
 
 
+@pytest.mark.parametrize("prox", list(Prox))
+def test_smoothed_covariance_at_tiny_mu_is_plugin(prox):
+    # at mu = 1e-300 every point's weights are one-hot on its piece, so the
+    # smoothed estimate is the plug-in one
+    x = np.linspace(-1.0, 1.0, 50)
+    data = Dataset(x, np.abs(x) + 0.1 * np.sin(7.0 * x))
+    cov = smoothed_covariance(ABS_MODEL, SmoothingSpec(prox, 1e-300), data)
+    plug = plugin_covariance(ABS_MODEL, data)
+    assert cov.segment_counts.tolist() == plug.segment_counts.tolist() == [25, 25]
+    assert np.array_equal(cov.C, plug.C)
+
+
 def test_sandwich_identities():
     data = separated_dataset(1)
     cov = plugin_covariance(ABS_MODEL, data)

@@ -212,8 +212,9 @@ def test_kernel_matches_public_api_and_finite_differences(prox, k1, k2, d):
 @pytest.mark.parametrize("prox", list(Prox))
 @pytest.mark.parametrize("k2", [0, 1, 2])
 def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
-    # the kernel forms piece values and weights piece-major; its value and
-    # gradient must still carry the bits of the products over (n, k) arrays
+    # the kernel forms piece values and weights piece-major; its value must
+    # carry the bits of the products over (n, k) arrays, and its gradient
+    # those of one product of the piece-major W' * r with [X, 1] per part
     data = generate(preset("planes-d4", seed=3))
     X, Y, d = data.X, data.Y, data.d
     theta = np.random.default_rng(4).uniform(-1, 1, (2 + k2) * (d + 1))
@@ -224,12 +225,12 @@ def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
         if k:
             A = theta[offset : offset + k * d].reshape(k, d)
             vals, W = smooth_max(X @ A.T + theta[offset + k * d : offset + k * (d + 1)], prox, 0.05)
-            parts.append((vals, np.ascontiguousarray(W), sign * -2.0 / data.n))
+            parts.append((vals, np.ascontiguousarray(W.T), sign))
             offset += k * (d + 1)
     r = Y - (parts[0][0] - parts[1][0] if k2 else parts[0][0])
-    want = np.concatenate(
-        [g for _, W, s in parts for g in ((s * (W * r[:, None]).T @ X).ravel(), s * (W.T @ r))]
-    )
+    X1T = np.ascontiguousarray(np.column_stack([X, np.ones(data.n)]).T)
+    blocks = [sign * ((Wt * (r * (-2.0 / data.n))) @ X1T.T) for _, Wt, sign in parts]
+    want = np.concatenate([g for B in blocks for g in (B[:, :d].ravel(), B[:, d])])
     assert value == np.mean(r * r)
     assert np.array_equal(kernel.gradient(), want)
 
@@ -320,14 +321,9 @@ def reference_project_simplex(c):
     single = c.ndim == 1
     V = (c[None, :] if single else c).swapaxes(-1, -2)
     k = V.shape[-2]
-    if k == 2:
-        hi = np.maximum(V[..., 0, :], V[..., 1, :])
-        lo = np.minimum(V[..., 0, :], V[..., 1, :])
-        lam = np.maximum(hi - 1.0, (hi + lo - 1.0) / 2.0)
-    else:
-        U = np.sort(V, axis=-2)[..., ::-1, :]
-        steps = np.arange(1, k + 1)[:, None]
-        lam = np.maximum.reduce((np.cumsum(U, axis=-2) - 1.0) / steps, axis=-2)
+    U = np.sort(V, axis=-2)[..., ::-1, :]
+    steps = np.arange(1, k + 1)[:, None]
+    lam = np.maximum.reduce((np.cumsum(U, axis=-2) - 1.0) / steps, axis=-2)
     w = np.maximum(V - lam[..., None, :], 0.0).swapaxes(-1, -2)
     return w[0] if single else w
 
@@ -342,6 +338,12 @@ def reference_smooth_max(Z, prox, mu):
         S = np.add.reduce(E, axis=-2)
         vals = zmax + mu * (np.log(S) - np.log(k))
         return vals, (E / S[..., None, :]).swapaxes(-1, -2)
+    if k == 2:
+        z1, z2 = Zt[..., 0, :], Zt[..., 1, :]
+        w1 = np.clip((1.0 + (z1 - z2) / mu) / 2.0, 0.0, 1.0)
+        w2 = 1.0 - w1
+        vals = (w1 * z1 + w2 * z2) - mu * (w1 - 0.5) ** 2
+        return vals, np.stack([w1, w2], axis=-1)
     Wt = reference_project_simplex((Zt / mu[..., None] - 1.0 / k).swapaxes(-1, -2)).swapaxes(-1, -2)
     rho = 0.5 * np.add.reduce((Wt - 1.0 / k) ** 2, axis=-2)
     vals = np.add.reduce(Wt * Zt, axis=-2) - mu * rho
@@ -366,14 +368,12 @@ def reference_kernel(X, Y, theta, k1, k2, prox, mu):
         weights.append((W2, -1.0))
     R = Y - fitted
     values = np.add.reduce(R * R, axis=1) / R.shape[1]
-    r, blocks = R[:, :, None], []
+    # [X, 1]' in the kernel's layout: a BLAS product sums in a layout-dependent order
+    X1T = np.ascontiguousarray(np.column_stack([X, np.ones(len(X))]).T)
+    r, blocks = R * (-2.0 / X.shape[0]), []
     for W, sign in weights:
-        W = np.ascontiguousarray(W)
-        s = sign * (-2.0 / X.shape[0])
-        blocks += [
-            (s * (W * r).transpose(0, 2, 1) @ X).reshape(R.shape[0], -1),
-            s * (W.transpose(0, 2, 1) @ r)[..., 0],
-        ]
+        B = sign * ((np.ascontiguousarray(W.transpose(0, 2, 1)) * r[:, None, :]) @ X1T.T)
+        blocks += [B[..., :d].reshape(R.shape[0], -1), B[..., d]]
     return values, np.concatenate(blocks, axis=1)
 
 
@@ -409,7 +409,7 @@ def test_smooth_max_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k):
 @pytest.mark.parametrize("k1,k2", [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2), (3, 3)])
 def test_kernel_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k1, k2):
     # value, residuals and gradient match the out-of-place formulas bit for
-    # bit, the (n, k) copies included, and theta is never written
+    # bit, and theta is never written
     data = generate(preset("planes-d4", seed=3))
     m = (k1 + k2) * (data.d + 1)
     thetas = np.random.default_rng(k1 + 4 * k2 + P).uniform(-1.5, 1.5, (P, m))
