@@ -112,9 +112,8 @@ def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> 
         raise ValueError("a piece has no assigned data points")
     if np.any(support < data.d + 1):
         warnings.warn("a piece has fewer than d+1 points; moment block is singular")
-    Xaug = np.column_stack([data.X, np.ones(data.n)])
     # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
-    G = (weights[:, :, None] * Xaug[:, None, :]).reshape(data.n, -1)
+    G = (weights[:, :, None] * kernel.X1T.T[:, None, :]).reshape(data.n, -1)
     M = G.T @ G / data.n
     if not np.isfinite(sigma2):
         raise ValueError(f"non-finite covariance: sigma2_hat is {sigma2}")

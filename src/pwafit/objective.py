@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PwaModel, pack
-from .smoothing import Prox, SmoothingSpec, smooth_max
+from .smoothing import Prox, SmoothingSpec, _smooth_max
 
 __all__ = [
     "Dataset",
@@ -82,8 +82,8 @@ class SmoothedLeastSquares:
     def __init__(self, X: np.ndarray, Y: np.ndarray, k1: int, k2: int, prox: Prox):
         if k1 < 1 or k2 < 0:
             raise ValueError("k1 must be >= 1 and k2 >= 0")
-        self.X, self.Y = X, Y
-        # piece values are formed piece-major, (k, n), from X', the first d
+        self.Y = Y
+        # piece values and weights are piece-major, (k, n); X' is the first d
         # rows of one contiguous [X, 1]', which gives the gradient blocks
         self.X1T = np.ascontiguousarray(np.column_stack([X, np.ones(X.shape[0])]).T)
         self.XT = self.X1T[:-1]
@@ -96,11 +96,9 @@ class SmoothedLeastSquares:
     def _part(self, theta, offset, k, mu):
         d = self.d
         A = theta[:, offset : offset + k * d].reshape(-1, k, d)
-        # numpy hands a one-row product to a matrix-vector routine that sums
-        # over d in another order; X @ A' keeps the (n, k) kernel's bits
-        Zt = (self.X @ A.transpose(0, 2, 1)).transpose(0, 2, 1) if k == 1 else A @ self.XT
+        Zt = A @ self.XT
         Zt += theta[:, offset + k * d : offset + k * (d + 1), None]
-        return smooth_max(Zt.transpose(0, 2, 1), self.prox, mu)
+        return _smooth_max(Zt, self.prox, mu)
 
     def value(self, theta: np.ndarray, mu: float | np.ndarray) -> float | np.ndarray:
         """Mean squared residual of the smoothed model at ``theta``; a
@@ -128,7 +126,7 @@ class SmoothedLeastSquares:
         """Part1's weights at the point(s) of the last :meth:`value` call,
         ``(n, k1)`` per member; a read-only view of those the gradient uses."""
         single, weights, _ = self._cache
-        W = weights[0][0].view()
+        W = weights[0][0].swapaxes(-1, -2)
         W.flags.writeable = False
         return W[0] if single else W
 
@@ -144,10 +142,10 @@ class SmoothedLeastSquares:
         # a non-finite value gets a non-finite gradient, as silently as in value
         with np.errstate(over="ignore", invalid="ignore"):
             r = R * (-2.0 / n)
-            for W, sign in weights:
-                # W is the (n, k) view of a piece-major buffer: one product of
-                # W' * r with [X, 1] gives the part's slope and intercept blocks
-                B = np.multiply(W.transpose(0, 2, 1), r[:, None, :]) @ self.X1T.T
+            for Wt, sign in weights:
+                # one product of the piece-major W' * r with [X, 1] gives the
+                # part's slope and intercept blocks
+                B = np.multiply(Wt, r[:, None, :]) @ self.X1T.T
                 if sign < 0:
                     np.negative(B, out=B)
                 blocks += [B[..., :-1].reshape(P, -1), B[..., -1]]

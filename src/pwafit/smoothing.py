@@ -61,35 +61,28 @@ def project_simplex(c) -> np.ndarray:
     leading stack axes.  With each row sorted in decreasing order ``u``, the
     threshold is the largest of ``(u_1 + ... + u_j - 1) / j`` over ``j``
     (Duchi et al., ICML 2008; Condat, Math. Program. 2016).
-
-    The work runs on the piece-major view of ``c`` (its last two axes
-    swapped), one row per coordinate, so every reduction runs over k long
-    rows.  A caller holding the values as a contiguous ``(..., k, n)`` array
-    ``Ct`` passes its swapped view, which costs no copy; the result is then
-    the swapped view of a ``(..., k, n)`` array.
     """
     c = np.asarray(c, dtype=float)
     if not np.isfinite(c).all():
         raise ValueError("input must be finite")
-    return _sort_threshold(c)
+    W = _sort_threshold(np.atleast_2d(c).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return W.reshape(c.shape)
 
 
-def _sort_threshold(c: np.ndarray) -> np.ndarray:
-    """:func:`project_simplex` unchecked: a non-finite row may give NaN."""
-    single = c.ndim == 1
-    V = (c[None, :] if single else c).swapaxes(-1, -2)
-    k = V.shape[-2]
+def _sort_threshold(Ct: np.ndarray) -> np.ndarray:
+    """:func:`project_simplex` of the piece-major ``Ct`` (..., k, n), one
+    column per point, unchecked: a non-finite column may give NaN."""
+    k = Ct.shape[-2]
     # this chain runs in place on this function's own fresh arrays, with the
     # operations and their order of the sort-and-threshold formula
-    U = np.sort(V, axis=-2)[..., ::-1, :]
+    U = np.sort(Ct, axis=-2)[..., ::-1, :]
     U = np.cumsum(U, axis=-2)
     U -= 1.0
     U /= np.arange(1, k + 1)[:, None]
     lam = np.maximum.reduce(U, axis=-2)
-    w = V - lam[..., None, :]
-    np.maximum(w, 0.0, out=w)
-    w = w.swapaxes(-1, -2)
-    return w[0] if single else w
+    Wt = Ct - lam[..., None, :]
+    np.maximum(Wt, 0.0, out=Wt)
+    return Wt
 
 
 def _first_max(Zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +103,7 @@ def _first_max(Zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, idx
 
 
-def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def smooth_max(Z, prox: Prox, mu: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed row maxima of the piece values ``Z`` (n x k) and the
     maximizing simplex weights (softmax for entropy, projection for sqerr).
 
@@ -123,17 +116,19 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
     row maxima and one-hot weights on the maximizing piece, ties going to
     the lowest index as in ``argmax``.  Per-member levels must be positive;
     a level that is negative, zero per member, NaN or infinite raises
-    ``ValueError``.  Sqerr with two pieces divides ``z1 - z2`` by ``mu``, so
-    no positive level is too small for it; with sqerr and ``k != 2``, a point
-    whose ``Z / mu`` overflows may get non-finite weights and value; it
-    raises no error.
-
-    The work runs on the piece-major view of ``Z`` (its last two axes
-    swapped), so each reduction over pieces combines k long rows.  A caller
-    holding the values as a contiguous ``(..., k, n)`` array ``Zt`` passes
-    its swapped view, which costs no copy; ``W`` is then the swapped view of
-    a ``(..., k, n)`` array.
+    ``ValueError``.  Sqerr with two pieces takes the projection's closed
+    form, so no positive level is too small for it; with sqerr and
+    ``k != 2``, a point whose ``Z / mu`` overflows may get non-finite
+    weights and value; it raises no error.
     """
+    vals, Wt = _smooth_max(np.asarray(Z, dtype=float).swapaxes(-1, -2), prox, mu)
+    return vals, Wt.swapaxes(-1, -2)
+
+
+def _smooth_max(Zt: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`smooth_max` of the piece-major ``Zt`` (..., k, n): the values
+    (..., n) and the piece-major weights (..., k, n).  Every reduction over
+    pieces combines k long rows."""
     scalar = np.ndim(mu) == 0
     if scalar:
         valid = 0.0 <= mu < math.inf
@@ -143,12 +138,10 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
         valid = all(0.0 < m < math.inf for m in mu.ravel().tolist())
     if not valid:
         raise ValueError("mu must be finite and >= 0 (scalar) / > 0 (per member)")
-    Zt = Z.swapaxes(-1, -2)
     k = Zt.shape[-2]
     if scalar and mu == 0.0:
         vals, idx = _first_max(Zt)
-        Wt = (np.arange(k)[:, None] == idx[..., None, :]).astype(float)
-        return vals, Wt.swapaxes(-1, -2)
+        return vals, (np.arange(k)[:, None] == idx[..., None, :]).astype(float)
     mu = np.asarray(mu, dtype=float)[..., None]  # against (..., n)
     # each chain below runs in place on this function's own fresh arrays,
     # with the operations and their order of the out-of-place formulas
@@ -165,19 +158,19 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
         vals *= mu
         vals += zmax
         E /= S[..., None, :]
-        return vals, E.swapaxes(-1, -2)
+        return vals, E
     if k == 2:
-        # the projection's closed form, w1 = clip((1 + (z1 - z2) / mu) / 2,
-        # 0, 1) and w2 = 1 - w1; vals = w1 z1 + w2 z2 - mu (w1 - 1/2)^2
+        # the projection's closed form, w1 = (1 + clip(z1 - z2, -mu, mu) / mu) / 2
+        # (no overflow) and w2 = 1 - w1; vals = w1 z1 + w2 z2 - mu (w1 - 1/2)^2
         z1, z2 = Zt[..., 0, :], Zt[..., 1, :]
         Wt = np.empty(Zt.shape)
         w1, w2 = Wt[..., 0, :], Wt[..., 1, :]
         np.subtract(z1, z2, out=w1)
+        np.maximum(w1, -mu, out=w1)  # np.clip costs more per call at small n
+        np.minimum(w1, mu, out=w1)
         w1 /= mu
         w1 += 1.0
         w1 /= 2.0
-        np.maximum(w1, 0.0, out=w1)  # np.clip costs more per call at small n
-        np.minimum(w1, 1.0, out=w1)
         np.subtract(1.0, w1, out=w2)
         vals = w1 * z1
         rho = w2 * z2
@@ -186,10 +179,10 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
         np.square(rho, out=rho)
         rho *= mu
         vals -= rho
-        return vals, Wt.swapaxes(-1, -2)
+        return vals, Wt
     C = Zt / mu[..., None]
     C -= 1.0 / k
-    Wt = _sort_threshold(C.swapaxes(-1, -2)).swapaxes(-1, -2)
+    Wt = _sort_threshold(C)
     # rho = (0.5 * sum_j (w_j - 1/k)^2) * mu, then vals = sum_j w_j z_j - rho
     D = Wt - 1.0 / k
     np.square(D, out=D)
@@ -198,4 +191,4 @@ def smooth_max(Z: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.nd
     rho *= mu
     vals = np.add.reduce(np.multiply(Wt, Zt, out=D), axis=-2)
     vals -= rho
-    return vals, Wt.swapaxes(-1, -2)
+    return vals, Wt

@@ -213,10 +213,11 @@ def test_kernel_matches_public_api_and_finite_differences(prox, k1, k2, d):
 @pytest.mark.parametrize("k2", [0, 1, 2])
 def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
     # the kernel forms piece values and weights piece-major; its value must
-    # carry the bits of the products over (n, k) arrays, and its gradient
-    # those of one product of the piece-major W' * r with [X, 1] per part
+    # carry the bits of one product A X' per part, for every k, and its
+    # gradient those of one product of the piece-major W' * r with [X, 1]
     data = generate(preset("planes-d4", seed=3))
     X, Y, d = data.X, data.Y, data.d
+    XT = np.ascontiguousarray(X.T)
     theta = np.random.default_rng(4).uniform(-1, 1, (2 + k2) * (d + 1))
     kernel = SmoothedLeastSquares(X, Y, 2, k2, prox)
     value = kernel.value(theta, 0.05)
@@ -224,7 +225,8 @@ def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
     for k, sign in ((2, 1.0), (k2, -1.0)):
         if k:
             A = theta[offset : offset + k * d].reshape(k, d)
-            vals, W = smooth_max(X @ A.T + theta[offset + k * d : offset + k * (d + 1)], prox, 0.05)
+            Zt = A @ XT + theta[offset + k * d : offset + k * (d + 1), None]
+            vals, W = smooth_max(Zt.T, prox, 0.05)
             parts.append((vals, np.ascontiguousarray(W.T), sign))
             offset += k * (d + 1)
     r = Y - (parts[0][0] - parts[1][0] if k2 else parts[0][0])
@@ -356,8 +358,7 @@ def reference_kernel(X, Y, theta, k1, k2, prox, mu):
 
     def part(offset, k):
         A = theta[:, offset : offset + k * d].reshape(-1, k, d)
-        Zt = (X @ A.transpose(0, 2, 1)).transpose(0, 2, 1) if k == 1 else A @ XT
-        Zt = Zt + theta[:, offset + k * d : offset + k * (d + 1), None]
+        Zt = A @ XT + theta[:, offset + k * d : offset + k * (d + 1), None]
         return reference_smooth_max(Zt.transpose(0, 2, 1), prox, mu)
 
     fitted, W1 = part(0, k1)

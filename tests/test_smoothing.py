@@ -151,10 +151,10 @@ def test_sqerr_overflow_is_non_finite_at_its_points_only(k):
 
 @pytest.mark.parametrize("mu", [1e-16, 1e-17, 1e-300, 1e-320])
 def test_sqerr_two_pieces_keep_the_max_piece_at_tiny_mu(mu):
-    # the closed form divides z1 - z2 by mu, so no level rounds the max
-    # piece's weight away: the exact max and one-hot weights
-    with np.errstate(over="ignore"):
-        vals, W = smooth_max(np.array([[0.5, -0.5], [0.3, 0.2]]), "sqerr", mu)
+    # the closed form clamps z1 - z2 to [-mu, mu] before dividing by mu, so
+    # no level rounds the max piece's weight away and no quotient overflows:
+    # the exact max and one-hot weights, with no warning
+    vals, W = smooth_max(np.array([[0.5, -0.5], [0.3, 0.2]]), "sqerr", mu)
     assert vals.tolist() == [0.5, 0.3]
     assert W.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
@@ -191,6 +191,17 @@ def test_smooth_max_same_bits_for_piece_major_input(prox, mu, k):
     vals_t, W_t = smooth_max(Zt.T, prox, mu)
     assert np.array_equal(vals, vals_t)
     assert np.array_equal(W, W_t)
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+@pytest.mark.parametrize("k", [2, 3])
+def test_smooth_max_takes_any_array_like(prox, k):
+    Z = np.random.default_rng(k).integers(-3, 4, (20, k))
+    want_vals, want_W = smooth_max(Z.astype(float), prox, 0.5)
+    for like in (Z, Z.tolist()):
+        vals, W = smooth_max(like, prox, 0.5)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert W.tobytes() == want_W.tobytes()
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
