@@ -104,7 +104,11 @@ class _LockstepBfgs:
     does on a non-finite value or gradient or a step out of the box.
 
     The state holds one row per running member, in member order; a member
-    whose run ended and that is not started again leaves it next round.
+    whose run ended and that is not started again leaves it next round.  A
+    round forms one boolean mask over all rows per outcome (accepted, out of
+    backtracks, runaway, ok, update, converged, maxiter, go, reset) and
+    writes the state only through them: the arithmetic runs on every row,
+    and a row outside a mask keeps its state.
     """
 
     _ROW_STATE = ("ids", "x", "g", "p", "H", "f", "gp", "t", "step", "alive")
@@ -156,15 +160,13 @@ class _LockstepBfgs:
         trial = self.x + tp
         ft, G = evaluate(self.ids, trial)
         armijo = np.isfinite(ft) & (ft <= self.f + 1e-4 * self.t * self.gp)
-        accepted = (self.step == 0) | armijo
-        n_acc = _count(accepted)
-        if n_acc < accepted.size:
-            self._reject((~accepted).nonzero()[0])
-        if n_acc == accepted.size:
-            self._accept(slice(None), trial, tp, ft, G)
-        elif n_acc:
-            rows = accepted.nonzero()[0]
-            self._accept(rows, trial[rows], tp[rows], ft[rows], G[rows])
+        start = self.step == 0
+        acc = start | armijo
+        n_acc = _count(acc)
+        if n_acc < acc.size:
+            self._reject(~acc)
+        if n_acc:
+            self._accept(acc, start, trial, tp, ft, G)
         return self._ended
 
     def _end(self, rows, status: str) -> None:
@@ -173,100 +175,73 @@ class _LockstepBfgs:
             self._ended.append((member, x, f, status, int(self.step[row])))
         self.alive[rows] = False
 
-    def _accept(self, rows, xn, s, fn, gn) -> None:
-        """Accepted trial points ``xn``, reached by steps ``s``, and start
-        points: the runaway test, the inverse-Hessian update, the stop test
-        and, for a run that goes on, the next direction with a unit step.  A
-        start's zero step takes no update."""
-        gmax = np.maximum.reduce(np.abs(gn), axis=1)
-        absx = np.abs(xn)
+    def _accept(self, acc, start, xn, tp, fn, G) -> None:
+        """Rows ``acc`` reached ``xn`` by the accepted steps ``tp`` or are
+        starts: the runaway test, the inverse-Hessian update, the stop test
+        and, for a run that goes on, the next direction with a unit step."""
+        gmax = np.maximum.reduce(np.abs(G), axis=1)
         # only a start can have a non-finite value (the Armijo test rejects
         # one), and a start is not held to the box
-        if not (
-            math.isfinite(np.add.reduce(fn))
-            and np.maximum.reduce(gmax) < np.inf
-            and np.maximum.reduce(absx, axis=None) <= _BOX_LIMIT
-        ):
-            out = (np.maximum.reduce(absx, axis=1) > _BOX_LIMIT) & (self.step[rows] > 0)
-            bad = ~(np.isfinite(fn) & (gmax < np.inf)) | out
-            worse = _sub(rows, bad)
-            self.x[worse], self.f[worse] = xn[bad], fn[bad]
-            self._end(worse, "instability")
-            ok = ~bad
-            rows, fn, gn, xn, s, gmax = _sub(rows, ok), fn[ok], gn[ok], xn[ok], s[ok], gmax[ok]
-        H = self.H[rows]
-        y = gn - self.g[rows]
+        out = (np.maximum.reduce(np.abs(xn), axis=1) > _BOX_LIMIT) & ~start
+        ok = acc & np.isfinite(fn) & (gmax < np.inf) & ~out
+        bad = acc ^ ok
+        # outside ok, s and y are zero: no update, and no use of G there
+        s = np.where(ok[:, None], tp, 0.0)
+        g = np.where(ok[:, None], G, self.g)
+        y, self.g = g - self.g, g
+        np.copyto(self.x, xn, where=acc[:, None])
+        np.copyto(self.f, fn, where=acc)
         # s'y, s's and y'y in one stacked product
         sy, ss, yy = _dots(np.concatenate([s, s, y]), np.concatenate([y, s, y])).reshape(3, -1)
         update = sy > 1e-12 * (np.sqrt(ss) * np.sqrt(yy) + 1e-300)
-        n_up = _count(update)
-        if n_up:
-            if n_up == update.size:
-                Hu, su, yu, rho = H, s, y, 1.0 / sy
-            else:
-                Hu, su, yu, rho = H[update], s[update], y[update], 1.0 / sy[update]
-            Hy = (Hu @ yu[:, :, None])[:, :, 0]
-            c = rho * (rho * _dots(yu, Hy) + 1.0)
-            sHy = su[:, :, None] * Hy[:, None, :]
-            # H <- (I - rho s y')H(I - rho y s') + rho s s'
-            Hu = (
-                Hu
-                - rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1))
-                + c[:, None, None] * (su[:, :, None] * su[:, None, :])
-            )
-            if n_up == update.size:
-                H = Hu
-            else:
-                H[update] = Hu
-            self.H[rows] = H
-        self.x[rows], self.f[rows], self.g[rows] = xn, fn, gn
+        np.copyto(sy, 1.0, where=~update)
+        rho = 1.0 / sy
+        Hy = (self.H @ y[:, :, None])[:, :, 0]
+        c = rho * (rho * _dots(y, Hy) + 1.0)
+        sHy = s[:, :, None] * Hy[:, None, :]
+        # H <- (I - rho s y')H(I - rho y s') + rho s s'
+        sym = rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1))
+        Hu = self.H - sym + c[:, None, None] * (s[:, :, None] * s[:, None, :])
+        np.copyto(self.H, Hu, where=update[:, None, None])
         # the scalar loop's order: a small gradient and step, the step
         # limit, a small gradient
-        conv = gmax < self.tol
+        conv = ok & (gmax < self.tol)
         smax = np.maximum.reduce(np.abs(s), axis=1)
-        maxed = (self.step[rows] >= self.max_steps) & ~(conv & (smax < self.tol))
+        maxed = ok & (self.step >= self.max_steps) & ~(conv & (smax < self.tol))
         conv &= ~maxed
-        stop = conv | maxed
+        stop = bad | conv | maxed
         if _count(stop):
-            self._end(_sub(rows, conv), "converged")
-            self._end(_sub(rows, maxed), "maxiter")
-            go = ~stop
-            rows, gn, H = _sub(rows, go), gn[go], H[go]
-        self.step[rows] += 1
+            self._end(bad, "instability")
+            self._end(conv, "converged")
+            self._end(maxed, "maxiter")
+        go = acc ^ stop
+        np.add(self.step, 1, out=self.step, where=go)
         # the quasi-Newton direction, or steepest descent if it is not a
         # descent direction
-        p = (-H @ gn[:, :, None])[:, :, 0]
-        gp = _dots(gn, p)
-        reset = ~np.isfinite(gp) | (gp >= 0.0)
+        p = (-self.H @ g[:, :, None])[:, :, 0]
+        gp = _dots(g, p)
+        reset = go & (~np.isfinite(gp) | (gp >= 0.0))
         if _count(reset):
-            self.H[_sub(rows, reset)] = np.eye(self.x.shape[1])
-            p[reset] = -gn[reset]
-            gp[reset] = -_dots(gn[reset], gn[reset])
-        self.p[rows], self.gp[rows], self.t[rows] = p, gp, 1.0
+            np.copyto(self.H, np.eye(self.x.shape[1]), where=reset[:, None, None])
+            np.negative(g, out=p, where=reset[:, None])
+            np.copyto(gp, -_dots(g, g), where=reset)
+        np.copyto(self.p, p, where=go[:, None])
+        np.copyto(self.gp, gp, where=go)
+        np.copyto(self.t, 1.0, where=go)
 
-    def _reject(self, rows) -> None:
-        """Rejected trial points: halve the step, or give up after the last
-        (after ``k`` rejections ``t`` is exactly ``2^-k``)."""
-        t = self.t[rows] * 0.5
-        self.t[rows] = t
-        out = t <= 0.5**_MAX_BACKTRACKS
+    def _reject(self, rej) -> None:
+        """Rows ``rej`` rejected their trial points: halve the step, or give
+        up after the last (after ``k`` rejections ``t`` is exactly ``2^-k``)."""
+        np.multiply(self.t, 0.5, out=self.t, where=rej)
+        out = rej & (self.t <= 0.5**_MAX_BACKTRACKS)
         if _count(out):
             # no descent possible along p; a near-zero gradient means we are done
-            ro = rows[out]
-            flat = np.maximum.reduce(np.abs(self.g[ro]), axis=1) < math.sqrt(self.tol)
-            self._end(ro[flat], "converged")
-            self._end(ro[~flat], "instability")
+            flat = np.maximum.reduce(np.abs(self.g), axis=1) < math.sqrt(self.tol)
+            self._end(out & flat, "converged")
+            self._end(out & ~flat, "instability")
 
 
 _count = np.count_nonzero
-
-
-def _sub(rows, mask: np.ndarray):
-    """The rows of ``rows`` (a slice over all rows, or an index array) where
-    ``mask`` holds."""
-    if _count(mask) == mask.size:
-        return rows
-    return mask.nonzero()[0] if isinstance(rows, slice) else rows[mask]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -63,6 +63,8 @@ def project_simplex(c) -> np.ndarray:
     (Duchi et al., ICML 2008; Condat, Math. Program. 2016).
     """
     c = np.asarray(c, dtype=float)
+    if c.ndim and not c.shape[-1]:
+        raise ValueError(f"c must hold at least one piece per row, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("input must be finite")
     W = _sort_threshold(np.atleast_2d(c).swapaxes(-1, -2)).swapaxes(-1, -2)
@@ -119,9 +121,17 @@ def smooth_max(Z, prox: Prox, mu: float | np.ndarray) -> tuple[np.ndarray, np.nd
     ``ValueError``.  Sqerr with two pieces takes the projection's closed
     form, so no positive level is too small for it; with sqerr and
     ``k != 2``, a point whose ``Z / mu`` overflows may get non-finite
-    weights and value; it raises no error.
+    weights and value; it raises no error.  A ``Z`` with fewer than two
+    axes or no pieces, or a ``mu`` array not of its leading shape, raises
+    ``ValueError``.
     """
-    vals, Wt = _smooth_max(np.asarray(Z, dtype=float).swapaxes(-1, -2), prox, mu)
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim < 2 or not Z.shape[-1]:
+        raise ValueError(f"Z must have shape (..., n, k) with k >= 1, got shape {Z.shape}")
+    if np.ndim(mu) and np.shape(mu) != Z.shape[:-2]:
+        shape = np.shape(mu)
+        raise ValueError(f"mu must be a scalar or of Z's leading shape {Z.shape[:-2]}, got {shape}")
+    vals, Wt = _smooth_max(Z.swapaxes(-1, -2), prox, mu)
     return vals, Wt.swapaxes(-1, -2)
 
 

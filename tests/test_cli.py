@@ -419,8 +419,10 @@ def test_ci_non_finite_covariance_exits_3(tmp_path, capsys):
 
 
 # `ci` output on the seed-7 fits of the CI smoke test, recorded with
-# PINNED_FITS in test_optimizer.py and on its platform; another BLAS or libm
-# build may round differently.
+# PINNED_FITS in test_optimizer.py and on its platform (OpenBLAS 0.3.31 on
+# its SkylakeX kernel); another BLAS kernel or libm build may round
+# differently, so the CI step "Bit references under a second BLAS kernel"
+# deselects these pins.
 @pytest.mark.parametrize(
     "name,sigma2_repr,counts,c_digest",
     [

@@ -45,7 +45,9 @@ def test_compare_fits_the_preset_model_class(monkeypatch):
 
 
 # Study numbers recorded with PINNED_FITS in test_optimizer.py (2-core x86_64
-# VM, numpy 2.4 with OpenBLAS); the studies must reproduce them.
+# VM, numpy 2.4 with OpenBLAS 0.3.31 on its SkylakeX kernel); the studies must
+# reproduce them.  Another BLAS kernel may round differently, so the CI step
+# "Bit references under a second BLAS kernel" deselects these pins.
 def test_three_planes_numbers_are_pinned():
     result = experiments.three_planes(pool=2, seed=4)
     assert repr(result["empirical_norm"]) == "0.01104912640407123"

@@ -410,3 +410,24 @@ def test_entropy_stable_for_tiny_mu():
     v = smooth_value(f, spec, 1.0)
     assert np.isfinite(v)
     assert v == pytest.approx(f.evaluate(1.0), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "func,args,match",
+    [
+        (smooth_max, ([0.2, 0.5], "sqerr", 0.1), "Z must have shape"),
+        (smooth_max, ([[0.2, 0.5]], "sqerr", [0.1, 0.2]), "mu must be a scalar or of Z's"),
+        (smooth_max, (np.zeros((2, 3, 2)), "entropy", [0.1]), "mu must be a scalar or of Z's"),
+        (smooth_max, (np.zeros((3, 0)), "sqerr", 0.1), "Z must have shape"),
+        (smooth_max, (np.zeros((3, 0)), "entropy", 0.1), "Z must have shape"),
+        (smooth_max, (np.zeros((3, 0)), "sqerr", 0.0), "Z must have shape"),
+        (project_simplex, ([],), "c must hold at least one piece"),
+        (project_simplex, (np.zeros((3, 0)),), "c must hold at least one piece"),
+    ],
+    ids=["vector", "levels-unstacked", "levels-short", "no-pieces-sqerr",
+         "no-pieces-entropy", "no-pieces-mu-0", "empty-vector", "empty-rows"],
+)
+def test_malformed_shapes_raise_value_error_naming_the_input(func, args, match):
+    # numpy's own AxisError, broadcast or reduction errors name no input
+    with pytest.raises(ValueError, match=match):
+        func(*args)
