@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     MaxAffine,
     PwaModel,
@@ -17,6 +19,7 @@ from .smoothing import (
     Prox,
     SmoothingSpec,
     project_simplex,
+    rho_max,
     smooth_max,
 )
 from .objective import (
@@ -48,4 +51,9 @@ from .simulate import (
     random_plane_pair,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes of the package, not names it exports
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

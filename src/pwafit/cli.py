@@ -25,7 +25,14 @@ from .simulate import dataset_from_csv, dataset_to_csv, generate, preset, preset
 
 SCHEMA = "pwafit/v1"
 
-_EXPERIMENTS = ("mu-sweep", "restart-ecdf", "coverage", "three-planes")
+# each study and the options it takes besides --seed and --outdir: restart-ecdf
+# runs --reps single fits, three-planes one pool
+_EXPERIMENTS = {
+    "mu-sweep": ("--reps", "--pool"),
+    "restart-ecdf": ("--reps",),
+    "coverage": ("--reps", "--pool"),
+    "three-planes": ("--pool",),
+}
 
 
 def _finite_or_null(obj):
@@ -277,11 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_exp = sub.add_parser("experiment", help="run a named simulation study")
-    p_exp.add_argument("name", choices=_EXPERIMENTS)
-    p_exp.add_argument("--reps", type=_count, default=100, help="three-planes ignores it")
-    p_exp.add_argument("--pool", type=_count, default=10, help="restart-ecdf ignores it")
-    p_exp.add_argument("--seed", type=_seed, default=0)
-    p_exp.add_argument("--outdir", required=True)
+    studies = p_exp.add_subparsers(dest="name", required=True, metavar="name")
+    for name, options in _EXPERIMENTS.items():
+        p_study = studies.add_parser(name, help=f"takes {', '.join(options)}")
+        if "--reps" in options:
+            p_study.add_argument("--reps", type=_count, default=100)
+        if "--pool" in options:
+            p_study.add_argument("--pool", type=_count, default=10)
+        p_study.add_argument("--seed", type=_seed, default=0)
+        p_study.add_argument("--outdir", required=True)
     p_exp.set_defaults(func=_cmd_experiment)
 
     return parser

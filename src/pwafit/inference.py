@@ -100,20 +100,19 @@ def smoothed_covariance(model: PwaModel, spec: SmoothingSpec, data: Dataset) -> 
     ``d + 1``, which makes that piece's moment block singular.
     """
     m = _two_piece_model(model)
-    kernel, theta = _kernel(m, spec, data), pack(m)
-    sigma2 = kernel.value(theta, 0.0)
-    # the one-hot mu = 0 weights count the paper's N_j, the points on piece j
-    counts = np.count_nonzero(kernel.weights, axis=0)
+    kernel, theta = _kernel(m, spec, data), pack(m)[None]
+    # part1's piece-major weights, (1, 2, n); one-hot at mu = 0, they count the paper's N_j
+    values, _, (W, _) = kernel._pass(theta, 0.0)
+    sigma2, counts = float(values[0]), np.count_nonzero(W[0], axis=1)
     if spec.mu > 0.0:
-        kernel.value(theta, spec.mu)
-    weights = kernel.weights
-    support = np.count_nonzero(weights > 0, axis=0)
+        _, _, (W, _) = kernel._pass(theta, spec.mu)
+    support = np.count_nonzero(W[0] > 0, axis=1)
     if np.any(support == 0):
         raise ValueError("a piece has no assigned data points")
     if np.any(support < data.d + 1):
         warnings.warn("a piece has fewer than d+1 points; moment block is singular")
     # G rows are (w_1 x, w_1, w_2 x, w_2); M = G'G/n is the weighted moment matrix
-    G = (weights[:, :, None] * kernel.X1T.T[:, None, :]).reshape(data.n, -1)
+    G = (W[0].T[:, :, None] * kernel.X1T.T[:, None, :]).reshape(data.n, -1)
     M = G.T @ G / data.n
     if not np.isfinite(sigma2):
         raise ValueError(f"non-finite covariance: sigma2_hat is {sigma2}")

@@ -71,12 +71,10 @@ class SmoothedLeastSquares:
     ``theta`` is in pack layout for ``k1`` part1 pieces and ``k2`` part2
     pieces; ``k2 = 0`` pins part2 to the zero part and leaves it out of
     ``theta`` (its smoothed value is exactly 0 for both proxes).
-    :meth:`value` takes one ``theta`` with a scalar ``mu``, or a ``(P, m)``
-    stack with one ``mu`` per member; each member's value and gradient carry
-    the same bits as its one-member call.  :meth:`value` keeps the weights
-    and residuals that :meth:`gradient` needs, so a gradient costs no second
-    smoothing pass.  :meth:`evaluate` gives both for a stack of any size and
-    alone decides how many members share one call.
+    :meth:`value` takes one ``theta`` with a scalar ``mu``; :meth:`evaluate`
+    takes a ``(P, m)`` stack with one ``mu`` per member and gives values and
+    gradients, each member's the bits of its one-member call.  The kernel
+    keeps nothing between calls.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, k1: int, k2: int, prox: Prox):
@@ -91,7 +89,6 @@ class SmoothedLeastSquares:
         self.size = (k1 + k2) * (self.d + 1)  # the length of theta
         self.prox = prox
         self._members_per_call = max(1, _STACK_PIECE_VALUES // ((k1 + k2) * X.shape[0]))
-        self._cache = None
 
     def _part(self, theta, offset, k, mu):
         d = self.d
@@ -100,72 +97,62 @@ class SmoothedLeastSquares:
         Zt += theta[:, offset + k * d : offset + k * (d + 1), None]
         return _smooth_max(Zt, self.prox, mu)
 
-    def value(self, theta: np.ndarray, mu: float | np.ndarray) -> float | np.ndarray:
-        """Mean squared residual of the smoothed model at ``theta``; a
-        ``(P, m)`` stack gives a ``(P,)`` array."""
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        T = theta[None] if single else theta
+    def _pass(self, theta: np.ndarray, mu: float | np.ndarray) -> tuple:
+        """Values ``(P,)``, residuals ``(P, n)`` and each part's piece-major
+        weights ``(P, k, n)`` of a ``(P, m)`` stack at a scalar or per-member ``mu``."""
         # an overflowing Z / mu or square is a non-finite value, which every
         # caller handles; numpy's warning would only reach the user
         with np.errstate(over="ignore", invalid="ignore"):
             # the smoothed values are fresh arrays: the residuals go in place
-            R, W1 = self._part(T, 0, self.k1, mu)
-            weights = [(W1, 1.0)]
+            R, W1 = self._part(theta, 0, self.k1, mu)
+            weights = [W1]
             if self.k2:
-                v2, W2 = self._part(T, self.k1 * (self.d + 1), self.k2, mu)
+                v2, W2 = self._part(theta, self.k1 * (self.d + 1), self.k2, mu)
                 R -= v2
-                weights.append((W2, -1.0))
+                weights.append(W2)
             np.subtract(self.Y, R, out=R)
             values = np.add.reduce(R * R, axis=1) / R.shape[1]
-        self._cache = (single, weights, R)
-        return float(values[0]) if single else values
+        return values, R, weights
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Part1's weights at the point(s) of the last :meth:`value` call,
-        ``(n, k1)`` per member; a read-only view of those the gradient uses."""
-        single, weights, _ = self._cache
-        W = weights[0][0].swapaxes(-1, -2)
-        W.flags.writeable = False
-        return W[0] if single else W
+    def value(self, theta: np.ndarray, mu: float) -> float:
+        """Mean squared residual of the smoothed model at one ``theta``."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim != 1:
+            raise ValueError(f"value takes one theta, got shape {theta.shape}")
+        return float(self._pass(theta[None], mu)[0][0])
 
-    def gradient(self) -> np.ndarray:
-        """Gradient at the point(s) of the last :meth:`value` call, pack layout.
-
-        Equals ``-(2/n) sum_i r_i * grad_theta g_mu(X_i)`` with residuals
-        ``r_i = Y_i - g_mu(X_i)``; the part2 block carries the opposite sign.
-        """
-        single, weights, R = self._cache
-        P, n = R.shape
+    def _gradient(self, R: np.ndarray, weights: list) -> np.ndarray:
+        """Pack-layout gradients ``(P, m)`` of one pass.  Its temporaries die here:
+        alive into the next slice's pass, they cost page faults at n = 10^4."""
+        r = R * (-2.0 / R.shape[1])
         blocks = []
-        # a non-finite value gets a non-finite gradient, as silently as in value
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = R * (-2.0 / n)
-            for Wt, sign in weights:
-                # one product of the piece-major W' * r with [X, 1] gives the
-                # part's slope and intercept blocks
-                B = np.multiply(Wt, r[:, None, :]) @ self.X1T.T
-                if sign < 0:
-                    np.negative(B, out=B)
-                blocks += [B[..., :-1].reshape(P, -1), B[..., -1]]
-        G = np.concatenate(blocks, axis=1)
-        return G[0] if single else G
+        for part, Wt in enumerate(weights):
+            # one product of the piece-major W' * r with [X, 1] gives the
+            # part's slope and intercept blocks; part2's carry the opposite sign
+            B = np.multiply(Wt, r[:, None, :]) @ self.X1T.T
+            if part:
+                np.negative(B, out=B)
+            blocks += [B[..., :-1].reshape(len(R), -1), B[..., -1]]
+        return np.concatenate(blocks, axis=1)
 
     def evaluate(self, theta: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(P,)`` and gradients ``(P, m)`` of a ``(P, m)`` stack with
-        one ``mu`` per member.
+        """Values ``(P,)`` and pack-layout gradients ``(P, m)`` of a ``(P, m)``
+        stack with one ``mu`` per member.
 
-        Consecutive slices of the stack take one :meth:`value` and one
-        :meth:`gradient` call each; a slice holds the members whose piece
-        values fit in ``_STACK_PIECE_VALUES``, at least one.  Every member's
-        value and gradient row are the bits of its one-member call.
+        A gradient is ``-(2/n) sum_i r_i * grad_theta g_mu(X_i)`` with
+        residuals ``r_i = Y_i - g_mu(X_i)``.  Each slice of
+        ``_members_per_call`` members (those whose piece values fit in
+        ``_STACK_PIECE_VALUES``, at least one) takes one pass, and every
+        member's rows are the bits of its one-member call.
         """
         step = self._members_per_call
         values, grads = [], []
-        for lo in range(0, len(theta), step):
-            values.append(self.value(theta[lo : lo + step], mu[lo : lo + step]))
-            grads.append(self.gradient())
+        # a non-finite value gets a non-finite gradient, as silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(theta), step):
+                v, R, weights = self._pass(theta[lo : lo + step], mu[lo : lo + step])
+                values.append(v)
+                grads.append(self._gradient(R, weights))
         return np.concatenate(values), np.concatenate(grads)
 
 
@@ -188,9 +175,8 @@ def least_squares_gradient(model: PwaModel, spec: SmoothingSpec, data: Dataset) 
     """Exact gradient of :func:`least_squares` in pack layout."""
     if spec.mu == 0.0:
         raise ValueError("gradient requires a smoothing spec with mu > 0")
-    kernel = _kernel(model, spec, data)
-    kernel.value(pack(model), spec.mu)
-    return kernel.gradient()
+    _, G = _kernel(model, spec, data).evaluate(pack(model)[None], np.array([spec.mu]))
+    return G[0]
 
 
 def empirical_norm(model: PwaModel, data: Dataset) -> float:

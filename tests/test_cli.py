@@ -492,6 +492,22 @@ def test_experiment_unknown_name_exits_2(tmp_path):
     assert run("experiment", "no-such-study", "--outdir", tmp_path) == 2
 
 
+@pytest.mark.parametrize(
+    "study, used, unused", [("restart-ecdf", "--reps", "--pool"), ("three-planes", "--pool", "--reps")]
+)
+def test_experiment_takes_only_the_options_its_study_uses(tmp_path, capsys, study, used, unused):
+    # restart-ecdf runs single fits and three-planes one pool: the option
+    # neither uses exits 2 and writes nothing
+    ignored = tmp_path / "ignored"
+    assert run("experiment", study, used, 1, unused, 7, "--outdir", ignored) == 2
+    assert f"unrecognized arguments: {unused} 7" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == []
+    assert run("experiment", study, used, 1, "--outdir", tmp_path / "run") == 0
+    base = study.replace("-", "_")
+    args = strict_json(tmp_path / "run" / f"{base}_summary.json.manifest.json")["args"]
+    assert sorted(args) == sorted(["command", "name", used[2:], "seed", "outdir"])
+
+
 def test_version_flag():
     assert run("--version") == 0
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwafit import objective
+from pwafit.inference import smoothed_covariance
 from pwafit.model import MaxAffine, PwaModel, convex_model, pack, unpack
 from pwafit.objective import (
     Dataset,
@@ -195,7 +196,9 @@ def test_kernel_matches_public_api_and_finite_differences(prox, k1, k2, d):
     spec = SmoothingSpec(prox, 0.1)
     kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox)
     value = kernel.value(theta, 0.1)
-    grad = kernel.gradient()
+    values, grads = kernel.evaluate(theta[None], np.array([0.1]))
+    grad = grads[0]
+    assert values.tobytes() == np.array([value]).tobytes()
     assert grad.shape == theta.shape
     assert value == pytest.approx(least_squares(model, spec, data), abs=1e-12)
     assert np.allclose(grad, least_squares_gradient(model, spec, data)[: theta.size], rtol=0, atol=1e-12)
@@ -234,27 +237,30 @@ def test_kernel_is_bit_equal_to_products_over_piece_rows(prox, k2):
     blocks = [sign * ((Wt * (r * (-2.0 / data.n))) @ X1T.T) for _, Wt, sign in parts]
     want = np.concatenate([g for B in blocks for g in (B[:, :d].ravel(), B[:, d])])
     assert value == np.mean(r * r)
-    assert np.array_equal(kernel.gradient(), want)
+    assert np.array_equal(kernel.evaluate(theta[None], np.array([0.05]))[1][0], want)
 
 
 @pytest.mark.parametrize("prox", list(Prox))
 @pytest.mark.parametrize(
     "name,k1,k2", [("broken-stick-200", 2, 0), ("planes-d2", 3, 1), ("planes-d4", 1, 1)]
 )
-def test_stacked_members_carry_their_one_member_bits(name, prox, k1, k2):
-    # a (P, m) stack with one mu per member: each member's value and gradient
-    # equal its one-member call
+def test_stacked_members_carry_their_one_member_bits(name, prox, k1, k2, monkeypatch):
+    # a (P, m) stack with one mu per member, in one pass: each member's value
+    # and gradient equal its one-member call
     data = generate(preset(name, seed=5))
     m = (k1 + k2) * (data.d + 1)
     thetas = np.random.default_rng(6).uniform(-1.5, 1.5, (5, m))
     mus = np.array([1.6, 0.4, 0.05, 0.8, 0.01])
+    monkeypatch.setattr(objective, "_STACK_PIECE_VALUES", 5 * (k1 + k2) * data.n)
     kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox)
-    values = kernel.value(thetas, mus)
-    grads = kernel.gradient()
+    assert kernel._members_per_call == 5
+    values, grads = kernel.evaluate(thetas, mus)
     assert values.shape == (5,) and grads.shape == (5, m)
     for theta, mu, value, grad in zip(thetas, mus, values, grads):
         assert kernel.value(theta, mu) == value
-        assert np.array_equal(kernel.gradient(), grad)
+        solo_values, solo_grads = kernel.evaluate(theta[None], mu[None])
+        assert solo_values[0] == value
+        assert np.array_equal(solo_grads[0], grad)
 
 
 @pytest.mark.parametrize("prox", list(Prox))
@@ -272,7 +278,10 @@ def test_evaluate_gives_each_member_its_one_member_bits(prox, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values, grads = kernel.evaluate(thetas, mus)
-        solo = [(kernel.value(theta, mu), kernel.gradient()) for theta, mu in zip(thetas, mus)]
+        solo = [
+            (kernel.value(theta, mu), kernel.evaluate(theta[None], mu[None])[1][0])
+            for theta, mu in zip(thetas, mus)
+        ]
     assert values.shape == (5,) and grads.shape == (5, kernel.size)
     assert values.tobytes() == np.array([value for value, _ in solo]).tobytes()
     assert grads.tobytes() == np.array([grad for _, grad in solo]).tobytes()
@@ -280,40 +289,80 @@ def test_evaluate_gives_each_member_its_one_member_bits(prox, monkeypatch):
     assert finite.tolist() == [True, prox == Prox.ENTROPY, True, False, True]
 
 
+def kernel_state(kernel):
+    return {
+        key: (value.tobytes(), value.shape) if isinstance(value, np.ndarray) else value
+        for key, value in vars(kernel).items()
+    }
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+def test_kernel_keeps_nothing_between_calls(prox, monkeypatch):
+    # one-point values and split evaluate calls leave the kernel's attributes
+    # as construction made them
+    data = generate(preset("broken-stick-200", seed=5))
+    monkeypatch.setattr(objective, "_STACK_PIECE_VALUES", 2 * 3 * data.n)
+    kernel = SmoothedLeastSquares(data.X, data.Y, 2, 1, prox)
+    assert kernel._members_per_call == 2
+    built = kernel_state(kernel)
+    thetas = np.random.default_rng(7).uniform(-1.5, 1.5, (5, kernel.size))
+    kernel.value(thetas[0], 0.1)
+    kernel.evaluate(thetas, np.array([1.6, 0.4, 0.05, 0.8, 0.01]))
+    kernel.value(thetas[1], 0.0)
+    kernel.evaluate(thetas[:3], np.array([0.2, 0.3, 0.4]))
+    assert kernel_state(kernel) == built
+
+
+@pytest.mark.parametrize("prox", list(Prox))
+def test_a_used_kernel_gives_a_fresh_kernels_bits(prox):
+    model, data = random_instance(3)
+    rng = np.random.default_rng(8)
+    used = SmoothedLeastSquares(data.X, data.Y, 2, 2, prox)
+    used.evaluate(rng.uniform(-1, 1, (3, used.size)), np.array([0.5, 0.1, 0.02]))
+    used.value(rng.uniform(-1, 1, used.size), 0.3)
+    fresh = SmoothedLeastSquares(data.X, data.Y, 2, 2, prox)
+    theta = pack(model)
+    thetas, mus = np.stack([theta, -theta]), np.array([0.2, 0.05])
+    got = [
+        (k.value(theta, 0.1), k.value(theta, 0.0), *k.evaluate(thetas, mus)) for k in (used, fresh)
+    ]
+    assert [np.array(x).tobytes() for x in got[0]] == [np.array(x).tobytes() for x in got[1]]
+
+
+@pytest.mark.parametrize("prox", list(Prox))
 @pytest.mark.parametrize("mu", [0.0, 0.05])
-def test_kernel_weights_are_part1s_of_the_last_value_call(mu):
-    model, data = random_instance(4, k1=3, k2=2)
-    kernel = SmoothedLeastSquares(data.X, data.Y, 3, 2, Prox.SQUARED_ERROR)
-    kernel.value(pack(model), mu)
-    _, want = smooth_max(model.part1.piece_values(data.X), Prox.SQUARED_ERROR, mu)
-    assert kernel.weights.shape == (data.n, 3)
-    assert np.array_equal(kernel.weights, want)
-    with pytest.raises(ValueError, match="read-only"):
-        kernel.weights[0, 0] = 1.0
+def test_smoothed_covariance_takes_one_pass_per_mu(prox, mu, monkeypatch):
+    # sigma2_hat and the counts come from the mu = 0 pass, the moment matrix
+    # from part1's weights at mu: one kernel pass at mu = 0, two at mu > 0
+    data = generate(preset("broken-stick-200", seed=5))
+    model = PwaModel(MaxAffine([[1.0, 0.2], [-1.0, 0.3]]), MaxAffine([[0.5, 0.1]]))
+    normal = model.normalize()
+    sigma2 = empirical_norm(normal, data)
+    passes, real = [], SmoothedLeastSquares._pass
+
+    def counted(self, theta, pass_mu):
+        out = real(self, theta, pass_mu)
+        passes.append((pass_mu, out[2][0][0]))
+        return out
+
+    monkeypatch.setattr(SmoothedLeastSquares, "_pass", counted)
+    est = smoothed_covariance(model, SmoothingSpec(prox, mu), data)
+    assert [pass_mu for pass_mu, _ in passes] == ([0.0, mu] if mu else [0.0])
+    for pass_mu, W in passes:
+        _, want = smooth_max(normal.part1.piece_values(data.X), prox, pass_mu)
+        assert np.array_equal(W.T, want)
+    assert est.sigma2_hat == sigma2
+    assert est.segment_counts.tolist() == np.count_nonzero(passes[0][1], axis=1).tolist()
+    W = passes[-1][1].T
+    G = (W[:, :, None] * np.column_stack([data.X, np.ones(data.n)])[:, None, :]).reshape(data.n, -1)
+    assert np.allclose(est.M, G.T @ G / data.n, rtol=1e-13, atol=0)
 
 
-def test_kernel_weights_of_a_stack_are_its_members():
-    model, data = random_instance(5)
-    kernel = SmoothedLeastSquares(data.X, data.Y, 2, 2, Prox.ENTROPY)
-    thetas, mus = np.stack([pack(model), -pack(model)]), [0.2, 0.3]
-    kernel.value(thetas, np.array(mus))
-    stacked = kernel.weights
-    assert stacked.shape == (2, data.n, 2)
-    for theta, mu, W in zip(thetas, mus, stacked):
-        kernel.value(theta, mu)
-        assert np.array_equal(kernel.weights, W)
-
-
-def test_kernel_gradient_follows_last_value_call():
+def test_value_rejects_a_stack():
     model, data = random_instance(3)
     kernel = SmoothedLeastSquares(data.X, data.Y, 2, 2, Prox.ENTROPY)
-    theta = pack(model)
-    kernel.value(theta, 0.1)
-    at_theta = kernel.gradient()
-    kernel.value(theta + np.linspace(0.1, 0.5, theta.size), 0.1)
-    assert not np.allclose(kernel.gradient(), at_theta)
-    kernel.value(theta, 0.1)
-    assert np.array_equal(kernel.gradient(), at_theta)
+    with pytest.raises(ValueError, match=r"one theta, got shape \(1, 12\)"):
+        kernel.value(pack(model)[None], 0.1)
 
 
 # The kernel's elementwise chains run in place.  These are the out-of-place
@@ -408,13 +457,14 @@ def test_smooth_max_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k):
 @pytest.mark.parametrize("prox", list(Prox))
 @pytest.mark.parametrize("mu_kind, P", MU_CASES)
 @pytest.mark.parametrize("k1,k2", [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2), (3, 3)])
-def test_kernel_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k1, k2):
+def test_kernel_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k1, k2, monkeypatch):
     # value, residuals and gradient match the out-of-place formulas bit for
-    # bit, and theta is never written
+    # bit, and theta is never written; a stack takes one pass
     data = generate(preset("planes-d4", seed=3))
     m = (k1 + k2) * (data.d + 1)
     thetas = np.random.default_rng(k1 + 4 * k2 + P).uniform(-1.5, 1.5, (P, m))
     mus = np.array([0.4, 0.05, 0.01])[:P]
+    monkeypatch.setattr(objective, "_STACK_PIECE_VALUES", P * (k1 + k2) * data.n)
     kernel = SmoothedLeastSquares(data.X, data.Y, k1, k2, prox)
     mu = mus[0] if mu_kind == "scalar" else mus
     want_values, want_grads = reference_kernel(data.X, data.Y, thetas, k1, k2, prox, mu)
@@ -422,9 +472,10 @@ def test_kernel_in_place_keeps_the_out_of_place_bits(prox, mu_kind, P, k1, k2):
         theta, before = thetas[0], thetas[0].copy()
         assert kernel.value(theta, mu) == want_values[0]
         assert np.array_equal(theta, before)
-        assert np.array_equal(kernel.gradient(), want_grads[0])
+        assert np.array_equal(kernel.evaluate(theta[None], mus)[1][0], want_grads[0])
         return
     before = thetas.copy()
-    assert np.array_equal(kernel.value(thetas, mus), want_values)
+    values, grads = kernel.evaluate(thetas, mus)
+    assert np.array_equal(values, want_values)
     assert np.array_equal(thetas, before)
-    assert np.array_equal(kernel.gradient(), want_grads)
+    assert np.array_equal(grads, want_grads)
