@@ -89,26 +89,27 @@ class _LockstepBfgs:
     its next Armijo trial.  One ``evaluate(members, points)`` call per round
     returns the values and gradients of the whole ``(len(members), m)``
     stack; the gradient of a rejected trial goes unused.  A start is step
-    0: a zero step to the start point, accepted whatever its value, through
-    the same accept path as every other step; its zero step takes no
-    update, so a run starts from the identity or from the inverse Hessian
-    the member's last run ended with.  Every member keeps its own iterate,
-    inverse Hessian, Armijo step, step count and status, so it takes exactly
-    the steps it would take alone.
+    0: a zero step to the start point, accepted whatever its value, in the
+    same pass as every other step; its zero step takes no update, so a run
+    starts from the identity or from the inverse Hessian the member's last
+    run ended with.  Every member keeps its own iterate, inverse Hessian,
+    Armijo step, step count and status, so it takes exactly the steps it
+    would take alone.
 
-    One stop test ends a run at its current step, in the scalar loop's
-    order: converged if ``max|g|`` and ``max|s|`` are below ``tol``, else
-    maxiter at ``max_steps``, else converged if ``max|g| < tol``.  ``t``
-    starts at 1 and only halves; after ``_MAX_BACKTRACKS`` rejections the
-    run ends converged if ``max|g| < sqrt(tol)``, else in instability, as it
-    does on a non-finite value or gradient or a step out of the box.
+    One stop test per round ends every run that ends in it.  An accepted
+    step ends a run in the scalar loop's order: converged if ``max|g|`` and
+    ``max|s|`` are below ``tol``, else maxiter at ``max_steps``, else
+    converged if ``max|g| < tol``; a non-finite value or gradient or a step
+    out of the box ends it in instability.  ``t`` starts at 1 and only
+    halves; the ``_MAX_BACKTRACKS``-th rejection in a row spends the run,
+    which ends converged if ``max|g| < sqrt(tol)``, else in instability.
 
     The state holds one row per running member, in member order; a member
     whose run ended and that is not started again leaves it next round.  A
-    round forms one boolean mask over all rows per outcome (accepted, out of
-    backtracks, runaway, ok, update, converged, maxiter, go, reset) and
-    writes the state only through them: the arithmetic runs on every row,
-    and a row outside a mask keeps its state.
+    round is one masked pass over all rows: it halves ``t`` on the rejected
+    rows, runs the accept arithmetic on every row and writes the state only
+    through boolean masks (accepted, spent, ok, update, converged, maxiter,
+    go, reset), so a row that did not accept keeps all but its ``t``.
     """
 
     _ROW_STATE = ("ids", "x", "g", "p", "H", "f", "gp", "t", "step", "alive")
@@ -125,7 +126,6 @@ class _LockstepBfgs:
         self.t = np.ones(members)
         self.step = np.zeros(members, dtype=int)
         self.alive = np.zeros(members, dtype=bool)
-        self._ended: list[tuple[int, np.ndarray, float, str, int]] = []
 
     @property
     def running(self) -> bool:
@@ -155,66 +155,53 @@ class _LockstepBfgs:
             keep = self.alive
             for name in self._ROW_STATE:
                 setattr(self, name, getattr(self, name)[keep])
-        self._ended = []
         tp = self.t[:, None] * self.p
-        trial = self.x + tp
-        ft, G = evaluate(self.ids, trial)
-        armijo = np.isfinite(ft) & (ft <= self.f + 1e-4 * self.t * self.gp)
+        xn = self.x + tp
+        fn, G = evaluate(self.ids, xn)
         start = self.step == 0
-        acc = start | armijo
-        n_acc = _count(acc)
-        if n_acc < acc.size:
-            self._reject(~acc)
-        if n_acc:
-            self._accept(acc, start, trial, tp, ft, G)
-        return self._ended
-
-    def _end(self, rows, status: str) -> None:
-        for row in np.arange(self.ids.size)[rows]:
-            member, x, f = int(self.ids[row]), self.x[row].copy(), float(self.f[row])
-            self._ended.append((member, x, f, status, int(self.step[row])))
-        self.alive[rows] = False
-
-    def _accept(self, acc, start, xn, tp, fn, G) -> None:
-        """Rows ``acc`` reached ``xn`` by the accepted steps ``tp`` or are
-        starts: the runaway test, the inverse-Hessian update, the stop test
-        and, for a run that goes on, the next direction with a unit step."""
+        acc = start | (np.isfinite(fn) & (fn <= self.f + 1e-4 * self.t * self.gp))
+        # a rejected trial halves t (after k rejections it is exactly 2^-k);
+        # a run whose last allowed trial failed is spent: no descent along p
+        rej = ~acc
+        np.multiply(self.t, 0.5, out=self.t, where=rej)
+        spent = rej & (self.t <= 0.5**_MAX_BACKTRACKS)
         gmax = np.maximum.reduce(np.abs(G), axis=1)
         # only a start can have a non-finite value (the Armijo test rejects
         # one), and a start is not held to the box
         out = (np.maximum.reduce(np.abs(xn), axis=1) > _BOX_LIMIT) & ~start
         ok = acc & np.isfinite(fn) & (gmax < np.inf) & ~out
-        bad = acc ^ ok
         # outside ok, s and y are zero: no update, and no use of G there
         s = np.where(ok[:, None], tp, 0.0)
         g = np.where(ok[:, None], G, self.g)
         y, self.g = g - self.g, g
         np.copyto(self.x, xn, where=acc[:, None])
         np.copyto(self.f, fn, where=acc)
-        # s'y, s's and y'y in one stacked product
-        sy, ss, yy = _dots(np.concatenate([s, s, y]), np.concatenate([y, s, y])).reshape(3, -1)
+        Hy = (self.H @ y[:, :, None])[:, :, 0]
+        # s'y, s's, y'y and y'Hy in one stacked product
+        dots = _dots(np.concatenate([s, s, y, y]), np.concatenate([y, s, y, Hy]))
+        sy, ss, yy, yHy = dots.reshape(4, -1)
         update = sy > 1e-12 * (np.sqrt(ss) * np.sqrt(yy) + 1e-300)
         np.copyto(sy, 1.0, where=~update)
         rho = 1.0 / sy
-        Hy = (self.H @ y[:, :, None])[:, :, 0]
-        c = rho * (rho * _dots(y, Hy) + 1.0)
+        c = rho * (rho * yHy + 1.0)
         sHy = s[:, :, None] * Hy[:, None, :]
         # H <- (I - rho s y')H(I - rho y s') + rho s s'
         sym = rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1))
         Hu = self.H - sym + c[:, None, None] * (s[:, :, None] * s[:, None, :])
         np.copyto(self.H, Hu, where=update[:, None, None])
         # the scalar loop's order: a small gradient and step, the step
-        # limit, a small gradient
+        # limit, a small gradient; a spent run with a near-zero gradient is
+        # done, and every other stop is an instability
         conv = ok & (gmax < self.tol)
         smax = np.maximum.reduce(np.abs(s), axis=1)
         maxed = ok & (self.step >= self.max_steps) & ~(conv & (smax < self.tol))
         conv &= ~maxed
-        stop = bad | conv | maxed
-        if _count(stop):
-            self._end(bad, "instability")
-            self._end(conv, "converged")
-            self._end(maxed, "maxiter")
-        go = acc ^ stop
+        stop = (acc ^ ok) | conv | maxed
+        if _count(spent):
+            flat = np.maximum.reduce(np.abs(self.g), axis=1) < math.sqrt(self.tol)
+            conv |= spent & flat
+            stop |= spent
+        go = acc & ~stop
         np.add(self.step, 1, out=self.step, where=go)
         # the quasi-Newton direction, or steepest descent if it is not a
         # descent direction
@@ -228,17 +215,14 @@ class _LockstepBfgs:
         np.copyto(self.p, p, where=go[:, None])
         np.copyto(self.gp, gp, where=go)
         np.copyto(self.t, 1.0, where=go)
-
-    def _reject(self, rej) -> None:
-        """Rows ``rej`` rejected their trial points: halve the step, or give
-        up after the last (after ``k`` rejections ``t`` is exactly ``2^-k``)."""
-        np.multiply(self.t, 0.5, out=self.t, where=rej)
-        out = rej & (self.t <= 0.5**_MAX_BACKTRACKS)
-        if _count(out):
-            # no descent possible along p; a near-zero gradient means we are done
-            flat = np.maximum.reduce(np.abs(self.g), axis=1) < math.sqrt(self.tol)
-            self._end(out & flat, "converged")
-            self._end(out & ~flat, "instability")
+        ended = []
+        if _count(stop):
+            for row in np.flatnonzero(stop):
+                status = "converged" if conv[row] else "maxiter" if maxed[row] else "instability"
+                x, f = self.x[row].copy(), float(self.f[row])
+                ended.append((int(self.ids[row]), x, f, status, int(self.step[row])))
+            self.alive[stop] = False
+        return ended
 
 
 _count = np.count_nonzero

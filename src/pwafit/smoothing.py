@@ -180,7 +180,7 @@ def _smooth_max(Zt: np.ndarray, prox: Prox, mu: float | np.ndarray) -> tuple[np.
         np.minimum(w1, mu, out=w1)
         w1 /= mu
         w1 += 1.0
-        w1 /= 2.0
+        w1 *= 0.5
         np.subtract(1.0, w1, out=w2)
         vals = w1 * z1
         rho = w2 * z2

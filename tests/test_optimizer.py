@@ -214,15 +214,17 @@ class QuarticStack:
 
 class Cliff:
     """f = 0 at member i's start point X0_i, -1 at other points within
-    max-norm distance w_i of it and 1 everywhere else; the gradient is G_i."""
+    max-norm distance w_i of it and 1 everywhere else; the gradient is G_i
+    at X0_i and G_away_i (by default G_i) everywhere else."""
 
-    def __init__(self, X0, G, w):
+    def __init__(self, X0, G, w, G_away=None):
         self.X0, self.G, self.w = X0, G, w
+        self.G_away = G if G_away is None else G_away
 
     def evaluate(self, members, X):
         dist = np.max(np.abs(X - self.X0[members]), axis=1)
         F = np.where(dist == 0.0, 0.0, np.where(dist <= self.w[members], -1.0, 1.0))
-        return F, self.G[members]
+        return F, np.where((dist == 0.0)[:, None], self.G[members], self.G_away[members])
 
 
 @pytest.mark.parametrize("start_H", ["identity", "negated identity"])
@@ -273,12 +275,25 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     last.a[:], last.c[:], last.r[:] = 0.0, 0.0, np.inf
     X0 = np.array([[0.5, -1.25, 3.0], [1.0, 1.0, 1.0], [-2.0, 0.0, 2.0]])
     cases += [(last, X0, 1e-8, 8), (last, X0, 1e-8, 7)]
+    # three ways to end in one round, the 61st: the first member's trials
+    # all fail, so its backtracks are spent with a gradient below sqrt(tol);
+    # the other two accept their last trial, t = 2^-59 (from 0, so that the
+    # step does not vanish in rounding), as step 1 of at most one, and the
+    # gradient there is below tol for the second (the stop test) and not
+    # for the third (the step limit)
+    X0 = np.zeros((3, 4))
+    X0[0] = 1.0
+    G = np.array([1e-6, 1e-2, 1e-2])[:, None] * np.ones(4)
+    w = np.array([0.0, 1.0, 1.0]) * 1.5 * 2.0**-59 * 1e-2
+    G_away = np.array([1e-6, 1e-9, 1e-2])[:, None] * np.ones(4)
+    same_round = len(cases)
+    cases.append((Cliff(X0, G, w, G_away), X0, 1e-8, 1))
     if start_H == "negated identity":
         eye = np.eye
         monkeypatch.setattr(np, "eye", lambda n, *a, **k: -eye(n, *a, **k))
-    statuses, at_limit = set(), set()
+    statuses, at_limit, first_ends = set(), set(), []
     with np.errstate(all="ignore"):
-        for problem, X0, tol, max_steps in cases:
+        for c, (problem, X0, tol, max_steps) in enumerate(cases):
             counted = Counted(problem, len(X0))
             X1 = X0[::-1]
             stacked = run_bfgs(counted, X0, tol, max_steps, X1=X1)
@@ -291,7 +306,9 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
                     return F[0], G[0]
 
                 H = None
-                for x0, (x, f, status, steps) in zip((X0[i], X1[i]), runs, strict=True):
+                for run, (x0, (x, f, status, steps)) in enumerate(
+                    zip((X0[i], X1[i]), runs, strict=True)
+                ):
                     *want, H = reference_bfgs(evaluate, x0, tol, max_steps, H0=H)
                     assert np.array_equal(x, want[0])
                     assert f == want[1] or (np.isnan(f) and np.isnan(want[1]))
@@ -299,6 +316,10 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
                     statuses.add(status)
                     if steps == max_steps:
                         at_limit.add(status)
+                    if (c, run) == (same_round, 0):
+                        # the member evaluates once a round from round 1,
+                        # so its run ended in the round of its last point
+                        first_ends.append((len(points), status))
                 # no member evaluates a point more often than it would alone
                 assert counted.evals[i] == len(points)
     # each way out of a run is taken (from a negated start, only a member
@@ -307,6 +328,7 @@ def test_lockstep_bfgs_matches_scalar_reference(start_H, monkeypatch):
     assert statuses >= expected | {"maxiter", "instability"}
     # a run can converge on its last allowed step
     assert at_limit >= ({"converged"} if start_H == "identity" else set()) | {"maxiter"}
+    assert first_ends == [(61, "converged"), (61, "converged"), (61, "maxiter")]
 
 
 class Walled:
@@ -373,6 +395,41 @@ def test_lockstep_rejected_non_finite_trials_stay_silent():
     assert mixed >= 1
     assert {runs[i][2] for i in (1, 3)} == {"converged"}
     assert {runs[i][2] for i in (0, 2)} <= {"maxiter", "instability"}
+
+
+def test_lockstep_round_without_an_accept_writes_only_t():
+    # every minimizer lies far beyond a wall at radius 2, so after the
+    # starts each member's unit trial and its first halvings carry inf
+    # values and inf and NaN gradients; a round in which no member accepts
+    # must halve every t exactly, write nothing else and raise no warning
+    rng = np.random.default_rng(7)
+    A = np.stack([np.eye(3), np.diag([1.0, 2.0, 4.0]), np.diag([3.0, 1.0, 0.5])])
+    problem = Walled(A, rng.uniform(50, 100, (3, 3)), np.full(3, 2.0))
+    bfgs = _LockstepBfgs(3, 3, 1e-8, 60)
+    for i, x0 in enumerate(rng.uniform(-1, 1, (3, 3))):
+        bfgs.start(i, x0)
+    values = []
+
+    def evaluate(members, X):
+        F, G = problem.evaluate(members, X)
+        values.append(F)
+        return F, G
+
+    silent = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bfgs.round(evaluate) == []  # the starts
+        while True:
+            before = {name: getattr(bfgs, name).tobytes() for name in bfgs._ROW_STATE}
+            t = bfgs.t.copy()
+            ended = bfgs.round(evaluate)
+            if not np.all(np.isinf(values[-1])):
+                break
+            assert ended == [] and np.array_equal(bfgs.t, t / 2)
+            for name in set(bfgs._ROW_STATE) - {"t"}:
+                assert getattr(bfgs, name).tobytes() == before[name], name
+            silent += 1
+    assert silent >= 3
 
 
 # (preset, prox, k2, BFGS steps per stage, pool, pool split over several
